@@ -20,8 +20,8 @@ from .games import (DEFAULT_ROUND_CAP, distinguishing_rank,
 from .invariants import (DEFAULT_DELTA_CAP, analyze, bound_report, gen_gm,
                          gen_mfmg)
 from .logic import DEFAULT_NODE_CEILING, format_formula, parse_formula
-from .structures import (DEFAULT_CANON_CAP, Structure, enumerate_structures,
-                         format_fos, parse_fos, parse_vocab_spec)
+from .structures import (Structure, enumerate_structures, format_fos,
+                         parse_fos, parse_vocab_spec)
 from .synthesis import (synth_auto, synth_delta, synth_graph,
                         synth_naive_define, synth_naive_identify, synth_rho,
                         synth_sigma)
@@ -45,7 +45,6 @@ _SYNTH = {
 @dataclass
 class CliConfig:
     delta_cap: int = DEFAULT_DELTA_CAP
-    canon_cap: int = DEFAULT_CANON_CAP
     node_ceiling: int = DEFAULT_NODE_CEILING
     game_cap: int = DEFAULT_ROUND_CAP
     workers: int = 1
@@ -280,7 +279,6 @@ def _global_options(parser, suppress: bool):
                         default=default if suppress else False,
                         help="machine output")
     for name, fallback in (("--delta-cap", DEFAULT_DELTA_CAP),
-                           ("--canon-cap", DEFAULT_CANON_CAP),
                            ("--node-ceiling", DEFAULT_NODE_CEILING),
                            ("--game-cap", DEFAULT_ROUND_CAP),
                            ("--workers", 1)):
@@ -355,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(delta_cap=args.delta_cap, canon_cap=args.canon_cap,
-                       node_ceiling=args.node_ceiling, game_cap=args.game_cap,
-                       workers=args.workers, as_json=args.json)
+    config = CliConfig(delta_cap=args.delta_cap, node_ceiling=args.node_ceiling,
+                       game_cap=args.game_cap, workers=args.workers,
+                       as_json=args.json)
     try:
         return args.run(args, config)
     except InputError as exc:

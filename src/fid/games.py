@@ -5,8 +5,8 @@ by memoized search. Two kinds of pruning keep desk-scale pairs tractable,
 both justified by automorphisms alone: candidate moves are restricted to
 orbit representatives under the stabilizer of the already-pebbled elements,
 and memo keys canonicalize pebble sequences under each structure's full
-automorphism group. An unreduced twin of the search exists purely so the
-test suite can confirm the two agree.
+automorphism group (up to CANON_LIMIT automorphisms). The test suite checks
+the search against an independent plain minimax in tests/oracles.py.
 
 The phased strategy is a stateful move generator: it pins the decomposition
 layers of the smaller structure, watches for threatening pairs, recovers
@@ -21,45 +21,12 @@ from dataclasses import dataclass, field
 
 from .equivalences import base_decomposition, classes_of
 from .errors import FidError, InputError, UnsupportedPosition
-from .structures import Structure, enumerate_structures, is_partial_isomorphism
+from .structures import (Structure, _mask_of, automorphisms, canonical_key,
+                         enumerate_structures, extends, is_partial_isomorphism)
 
 DEFAULT_ROUND_CAP = 12
-
-
-def automorphisms(struct: Structure) -> list[tuple[int, ...]]:
-    """All automorphisms, found by backtracking with per-element profiles."""
-    n = struct.order
-    out: list[tuple[int, ...]] = []
-    mapping: dict[int, int] = {}
-    used = [False] * n
-
-    def consistent(src: int) -> bool:
-        dom = list(mapping)
-        for idx, (_, arity) in enumerate(struct.vocab.symbols):
-            table = struct.tables[idx]
-            for tup in itertools.product(dom, repeat=arity):
-                if src not in tup:
-                    continue
-                if (tup in table) != (tuple(mapping[e] for e in tup) in table):
-                    return False
-        return True
-
-    def backtrack(src: int):
-        if src == n:
-            out.append(tuple(mapping[i] for i in range(n)))
-            return
-        for img in range(n):
-            if used[img]:
-                continue
-            mapping[src] = img
-            if consistent(src):
-                used[img] = True
-                backtrack(src + 1)
-                used[img] = False
-            del mapping[src]
-
-    backtrack(0)
-    return out
+# Memo keys are canonicalized under automorphism groups up to this size.
+CANON_LIMIT = 5000
 
 
 def _orbit_reps(n: int, stabilizer: list[tuple[int, ...]]) -> list[int]:
@@ -82,15 +49,12 @@ def _orbit_reps(n: int, stabilizer: list[tuple[int, ...]]) -> list[int]:
 class GameSolver:
     """Exact game values for one structure pair, with shared memoization."""
 
-    def __init__(self, m1: Structure, m2: Structure, reduced: bool = True,
-                 canon_limit: int = 5000):
+    def __init__(self, m1: Structure, m2: Structure):
         if m1.vocab != m2.vocab:
             raise InputError("game needs structures over the same vocabulary")
         self.m1, self.m2 = m1, m2
-        self.reduced = reduced
-        self.canon_limit = canon_limit
-        self.aut1 = automorphisms(m1) if reduced else [tuple(range(m1.order))]
-        self.aut2 = automorphisms(m2) if reduced else [tuple(range(m2.order))]
+        self.aut1 = automorphisms(m1)
+        self.aut2 = automorphisms(m2)
         self._memo: dict = {}
 
     # -- position mechanics -------------------------------------------------
@@ -102,25 +66,7 @@ class GameSolver:
                 return False
         mapping = dict(zip(seq1, seq2))
         mapping[a] = b
-        dom = list(mapping)
-        for idx, (_, arity) in enumerate(self.m1.vocab.symbols):
-            t1, t2 = self.m1.tables[idx], self.m2.tables[idx]
-            if arity == 2:
-                if ((a, a) in t1) != ((b, b) in t2):
-                    return False
-                for x in dom:
-                    y = mapping[x]
-                    if ((a, x) in t1) != ((b, y) in t2):
-                        return False
-                    if ((x, a) in t1) != ((y, b) in t2):
-                        return False
-                continue
-            for tup in itertools.product(dom, repeat=arity):
-                if arity > 1 and a not in tup:
-                    continue
-                if (tup in t1) != (tuple(mapping[e] for e in tup) in t2):
-                    return False
-        return True
+        return extends(self.m1, self.m2, mapping, a)
 
     def legal_responses(self, seq1, seq2, side: int, elem: int) -> list[int]:
         """All elements of the other structure keeping the position alive."""
@@ -141,7 +87,7 @@ class GameSolver:
         return [p for p in aut if all(p[e] == e for e in seq)]
 
     def _canon(self, aut, seq):
-        if not self.reduced or len(aut) > self.canon_limit:
+        if len(aut) > CANON_LIMIT:
             return seq
         return min(tuple(p[e] for e in seq) for p in aut)
 
@@ -163,12 +109,9 @@ class GameSolver:
                 continue
             new_switches = switches + (1 if last is not None and side != last else 0)
             n_here = self.m1.order if side == 0 else self.m2.order
-            if self.reduced:
-                stab = stab1 if side == 0 else stab2
-                seq = seq1 if side == 0 else seq2
-                candidates = [e for e in _orbit_reps(n_here, stab) if e not in seq]
-            else:
-                candidates = list(range(n_here))
+            stab = stab1 if side == 0 else stab2
+            seq = seq1 if side == 0 else seq2
+            candidates = [e for e in _orbit_reps(n_here, stab) if e not in seq]
             for elem in candidates:
                 responses = self.legal_responses(seq1, seq2, side, elem)
                 if not responses:
@@ -176,22 +119,20 @@ class GameSolver:
                     break
                 if r == 1:
                     continue
-                if self.reduced:
-                    other_stab = stab2 if side == 0 else stab1
-                    reps = set(_orbit_reps(self.m2.order if side == 0 else self.m1.order,
-                                           other_stab))
-                    responses = [w for w in responses
-                                 if w in reps or w in (seq2 if side == 0 else seq1)]
+                other_stab = stab2 if side == 0 else stab1
+                reps = set(_orbit_reps(self.m2.order if side == 0 else self.m1.order,
+                                       other_stab))
+                responses = [w for w in responses
+                             if w in reps or w in (seq2 if side == 0 else seq1)]
                 all_win = True
                 for w in responses:
                     if side == 0:
                         ns1, ns2 = seq1 + (elem,), seq2 + (w,)
                     else:
                         ns1, ns2 = seq1 + (w,), seq2 + (elem,)
-                    nst1 = self._stab(stab1, (ns1[-1],)) if self.reduced else stab1
-                    nst2 = self._stab(stab2, (ns2[-1],)) if self.reduced else stab2
-                    if not self._wins(ns1, ns2, nst1, nst2, side, new_switches,
-                                      budget, r - 1):
+                    if not self._wins(ns1, ns2, self._stab(stab1, (ns1[-1],)),
+                                      self._stab(stab2, (ns2[-1],)), side,
+                                      new_switches, budget, r - 1):
                         all_win = False
                         break
                 if all_win:
@@ -246,22 +187,20 @@ class GameSolver:
 
 
 def distinguishing_rank(m1: Structure, m2: Structure,
-                        max_rounds: int = DEFAULT_ROUND_CAP,
-                        reduced: bool = True) -> int | None:
+                        max_rounds: int = DEFAULT_ROUND_CAP) -> int | None:
     """Exact game value: minimum rounds in which Spoiler can force a win.
     None when the cap is exhausted (in particular for isomorphic inputs)."""
-    return GameSolver(m1, m2, reduced).position_rank((), (), max_rounds)
+    return GameSolver(m1, m2).position_rank((), (), max_rounds)
 
 
 def distinguishing_rank_alt(m1: Structure, m2: Structure, alternations: int,
-                            max_rounds: int = DEFAULT_ROUND_CAP,
-                            reduced: bool = True) -> int | None:
+                            max_rounds: int = DEFAULT_ROUND_CAP) -> int | None:
     """Game value when Spoiler may switch structures at most `alternations`
     times. Non-increasing in the budget."""
     if alternations < 0:
         raise InputError("alternation budget must be non-negative")
-    return GameSolver(m1, m2, reduced).position_rank((), (), max_rounds,
-                                                     budget=alternations)
+    return GameSolver(m1, m2).position_rank((), (), max_rounds,
+                                            budget=alternations)
 
 
 def identification_rank(struct: Structure, alternations: int | None = None,
@@ -270,11 +209,10 @@ def identification_rank(struct: Structure, alternations: int | None = None,
     """Worst game value against any non-isomorphic structure of the same
     order: the semantic identification cost."""
     cap = max_rounds if max_rounds is not None else struct.order + 1
-    from .structures import canonical_key
-    own = canonical_key(struct)
+    own = canonical_key(struct, graph_mode)
     worst = 0
     for rival in enumerate_structures(struct.vocab, struct.order, graph_mode):
-        if canonical_key(rival) == own:
+        if _mask_of(rival, graph_mode) == own:
             continue
         solver = GameSolver(struct, rival)
         value = solver.position_rank((), (), cap, budget=alternations)
@@ -439,17 +377,7 @@ class PhasedSpoiler:
     def _ext_ok(self, phi: dict[int, int], a: int, b: int) -> bool:
         ext = dict(phi)
         ext[a] = b
-        if len(set(ext.values())) != len(ext):
-            return False
-        dom = list(ext)
-        for idx, (_, arity) in enumerate(self.m1.vocab.symbols):
-            t1, t2 = self.m1.tables[idx], self.m2.tables[idx]
-            for tup in itertools.product(dom, repeat=arity):
-                if a not in tup:
-                    continue
-                if (tup in t1) != (tuple(ext[e] for e in tup) in t2):
-                    return False
-        return True
+        return len(set(ext.values())) == len(ext) and extends(self.m1, self.m2, ext, a)
 
     def threat_level(self, a: int, b: int) -> int | None:
         """Smallest completed layer at which the pair sits outside both sides

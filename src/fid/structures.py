@@ -1,13 +1,18 @@
 """Finite relational structures over a fixed universe {0..n-1}.
 
-Representation, induced substructures, (partial) isomorphism testing,
-canonical forms by pruned permutation search, and exhaustive enumeration
-of structures up to isomorphism via an orbit sweep over raw bit tables.
+Representation, induced substructures, and the one place where isomorphism
+is decided: a single incremental preservation check (`extends`), a single
+profile-pruned backtracker (`isomorphisms`, behind `find_isomorphism`,
+`automorphisms` and `isomorphic`), and a single canonical mask
+(`canonical_key`). Structures are enumerated up to isomorphism by an orbit
+sweep over raw bit tables.
 
-The canonical bit layout used throughout is "staged": bit positions are
-grouped by the maximum element occurring in the tuple, so that fixing the
-images of elements 0..d decides a prefix of the encoding. This is what
-makes the branch-and-bound canonical search and the orbit sweep cheap.
+The bit layout used throughout is "staged": bit positions are grouped by the
+maximum element occurring in the tuple, so that fixing the images of
+elements 0..d decides stages 0..d of the encoding. The canonical search
+shares those stages between relabellings with a common prefix, and the
+enumeration yields the smallest mask of each class, so the canonical key of
+a structure is the mask of its enumeration representative.
 """
 
 from __future__ import annotations
@@ -190,57 +195,79 @@ def _profile(struct: Structure, v: int):
     return tuple(sig)
 
 
-def _extension_consistent(a, b, mapping, new_src):
-    """Check all tuples over dom(mapping) that involve new_src, both directions."""
-    dom = list(mapping)
+def extends(a: Structure, b: Structure, mapping: dict[int, int], new: int) -> bool:
+    """True iff every tuple over dom(mapping) that contains `new` has the same
+    truth value in `a` as its image under `mapping` has in `b`.
+
+    The one check behind every incremental partial-isomorphism search: if
+    `mapping` is injective and a partial isomorphism without `new`, a True
+    result makes it one with `new`. Callers keep injectivity themselves."""
+    img = mapping[new]
     for idx, (_, arity) in enumerate(a.vocab.symbols):
         ta, tb = a.tables[idx], b.tables[idx]
         if arity == 1:
-            if ((new_src,) in ta) != ((mapping[new_src],) in tb):
+            if ((new,) in ta) != ((img,) in tb):
                 return False
-            continue
-        for tup in itertools.product(dom, repeat=arity):
-            if new_src not in tup:
-                continue
-            if (tup in ta) != (tuple(mapping[e] for e in tup) in tb):
+        elif arity == 2:
+            if ((new, new) in ta) != ((img, img) in tb):
                 return False
+            for x, y in mapping.items():
+                if ((new, x) in ta) != ((img, y) in tb) \
+                        or ((x, new) in ta) != ((y, img) in tb):
+                    return False
+        else:
+            for tup in itertools.product(mapping, repeat=arity):
+                if new in tup and (tup in ta) != (tuple(mapping[e] for e in tup) in tb):
+                    return False
     return True
 
 
-def find_isomorphism(a: Structure, b: Structure) -> dict[int, int] | None:
-    """Total isomorphism a -> b, or None. Deterministic: the backtracking maps
-    0,1,2,... in order and always tries the least feasible image first."""
+def isomorphisms(a: Structure, b: Structure):
+    """Yield every isomorphism a -> b as the tuple of images of 0..n-1, in
+    lexicographic order. The backtracking maps 0,1,2,... in turn and tries
+    only images with the same per-element profile."""
     if a.vocab != b.vocab:
         raise InputError("isomorphism requires equal vocabularies")
     if a.order != b.order:
-        return None
+        return
     if any(len(ta) != len(tb) for ta, tb in zip(a.tables, b.tables)):
-        return None
+        return
     n = a.order
     prof_a = [_profile(a, v) for v in range(n)]
     prof_b = [_profile(b, v) for v in range(n)]
     if sorted(prof_a) != sorted(prof_b):
-        return None
-
+        return
+    images = [[img for img in range(n) if prof_b[img] == prof_a[src]]
+              for src in range(n)]
     mapping: dict[int, int] = {}
     used = [False] * n
 
-    def backtrack(src: int) -> bool:
+    def backtrack(src: int):
         if src == n:
-            return True
-        for img in range(n):
-            if used[img] or prof_a[src] != prof_b[img]:
+            yield tuple(mapping.values())
+            return
+        for img in images[src]:
+            if used[img]:
                 continue
             mapping[src] = img
-            if _extension_consistent(a, b, mapping, src):
+            if extends(a, b, mapping, src):
                 used[img] = True
-                if backtrack(src + 1):
-                    return True
+                yield from backtrack(src + 1)
                 used[img] = False
             del mapping[src]
-        return False
 
-    return dict(mapping) if backtrack(0) else None
+    yield from backtrack(0)
+
+
+def find_isomorphism(a: Structure, b: Structure) -> dict[int, int] | None:
+    """The lexicographically first isomorphism a -> b, or None."""
+    perm = next(isomorphisms(a, b), None)
+    return None if perm is None else dict(enumerate(perm))
+
+
+def automorphisms(struct: Structure) -> list[tuple[int, ...]]:
+    """All automorphisms, in lexicographic order."""
+    return list(isomorphisms(struct, struct))
 
 
 # ---------------------------------------------------------------------------
@@ -286,71 +313,58 @@ def _structure_from_mask(vocab: Vocabulary, n: int, mask: int, graph_mode: bool)
     return Structure(vocab, n, tables)
 
 
-def canonical_key(struct: Structure, cap: int = DEFAULT_CANON_CAP) -> int:
-    """Minimum staged bit encoding over all universe permutations, found by
-    stage-prefix branch-and-bound. Equal keys <=> isomorphic structures."""
+def canonical_key(struct: Structure, graph_mode: bool = False) -> int:
+    """The staged mask of the enumeration representative of the structure's
+    class: the smallest mask over all relabellings, in the graph layout when
+    `graph_mode`. Equal keys <=> isomorphic structures.
+
+    A depth-first search places an element at position 0, 1, ... in turn.
+    Placing position d decides stage d, so each prefix of placements computes
+    its stages' bits once for every relabelling that shares it."""
     n = struct.order
-    if n > cap:
-        raise CapExceeded(f"canonicalization is capped at order {cap}, got {n}")
-    positions, stage_start = _bit_layout(struct.vocab, n, False)
-    stages = [positions[stage_start[d]:stage_start[d + 1]] for d in range(n)]
-    tables = struct.tables
-
-    pos_to_src = [0] * n
+    if n > DEFAULT_CANON_CAP:
+        raise CapExceeded(
+            f"canonicalization is capped at order {DEFAULT_CANON_CAP}, got {n}")
+    if graph_mode and not struct.is_graph():
+        raise InputError("the graph layout needs a symmetric loop-free structure")
+    positions, stage_start = _bit_layout(struct.vocab, n, graph_mode)
+    stages = [[(1 << i, struct.tables[sym], tup)
+               for i, (sym, tup) in enumerate(positions[lo:hi], lo)]
+              for lo, hi in zip(stage_start, stage_start[1:])]
+    src_at = [0] * n
     used = [False] * n
+    best = None
 
-    def stage_bits(d: int) -> tuple[int, ...]:
-        return tuple(
-            1 if tuple(pos_to_src[x] for x in tup) in tables[sym] else 0
-            for sym, tup in stages[d]
-        )
-
-    best_full: list[tuple[int, ...]] = []
-
-    def dfs(d: int, acc: list[tuple[int, ...]], less: bool):
-        nonlocal best_full
+    def place(d: int, mask: int):
+        nonlocal best
         if d == n:
-            if less or not best_full:
-                best_full = list(acc)
+            if best is None or mask < best:
+                best = mask
             return
         for src in range(n):
             if used[src]:
                 continue
-            pos_to_src[d] = src
-            bits = stage_bits(d)
-            sub_less = less
-            if not less and best_full:
-                ref = best_full[d]
-                if bits > ref:
-                    continue
-                sub_less = bits < ref
+            src_at[d] = src
+            bits = mask
+            for bit, table, tup in stages[d]:
+                if tuple(map(src_at.__getitem__, tup)) in table:
+                    bits |= bit
             used[src] = True
-            acc.append(bits)
-            dfs(d + 1, acc, sub_less)
-            acc.pop()
+            place(d + 1, bits)
             used[src] = False
 
-    dfs(0, [], False)
-    mask = 0
-    i = 0
-    for bits in best_full:
-        for bit in bits:
-            mask |= bit << i
-            i += 1
-    return mask
+    place(0, 0)
+    return best
 
 
-def canonical_form(struct: Structure, cap: int = DEFAULT_CANON_CAP) -> bytes:
+def canonical_form(struct: Structure) -> bytes:
     """Byte encoding of the canonical key, prefixed with order and vocabulary."""
-    key = canonical_key(struct, cap)
-    return f"{struct.vocab.spec()}|{struct.order}|{key:x}".encode()
+    return f"{struct.vocab.spec()}|{struct.order}|{canonical_key(struct):x}".encode()
 
 
-def isomorphic(a: Structure, b: Structure, cap: int = DEFAULT_CANON_CAP) -> bool:
-    if a.vocab != b.vocab or a.order != b.order:
+def isomorphic(a: Structure, b: Structure) -> bool:
+    if a.vocab != b.vocab:
         return False
-    if max(a.order, b.order) <= cap:
-        return canonical_key(a, cap) == canonical_key(b, cap)
     return find_isomorphism(a, b) is not None
 
 
@@ -426,10 +440,6 @@ def enumerate_structures(vocab: Vocabulary, n: int, graph_mode: bool = False,
                         img |= 1 << b
                 seen[img] = 1
         yield _structure_from_mask(vocab, n, mask, graph_mode)
-
-
-def count_structures(vocab: Vocabulary, n: int, graph_mode: bool = False) -> int:
-    return sum(1 for _ in enumerate_structures(vocab, n, graph_mode))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import InputError
 from .invariants import DEFAULT_DELTA_CAP, analyze, bound_report, bs_budget
 from .logic import Formula, compile_eval, evaluate
-from .structures import (Structure, Vocabulary, _bit_layout, _mask_of,
-                         _structure_from_mask, enumerate_structures)
+from .structures import (Structure, Vocabulary, _mask_of, _structure_from_mask,
+                         canonical_key, enumerate_structures)
 from .synthesis import synth_auto, synth_graph
 
 
@@ -28,25 +28,6 @@ class VerificationVerdict:
     scope: str
 
 
-def _orbit_min_mask(struct: Structure, graph_mode: bool) -> int:
-    """The structure's orbit-minimal staged mask: identical to the mask of its
-    representative in enumeration order."""
-    import itertools
-    positions, _ = _bit_layout(struct.vocab, struct.order, graph_mode)
-    best = None
-    for perm in itertools.permutations(range(struct.order)):
-        mask = 0
-        for i, (sym, tup) in enumerate(positions):
-            pre = tuple(perm[e] for e in tup)
-            if graph_mode and pre[0] > pre[1]:
-                pre = (pre[1], pre[0])
-            if struct.holds(sym, pre):
-                mask |= 1 << i
-        if best is None or mask < best:
-            best = mask
-    return best
-
-
 def verify_identifies(struct: Structure, phi: Formula, graph_mode: bool = False,
                       rivals=None) -> VerificationVerdict:
     """Pass iff the structure satisfies the formula and no non-isomorphic
@@ -55,7 +36,7 @@ def verify_identifies(struct: Structure, phi: Formula, graph_mode: bool = False,
     if not evaluate(struct, phi):
         return VerificationVerdict(False, struct, 0, "same-order")
     checker = compile_eval(phi, struct.vocab)
-    own = _orbit_min_mask(struct, graph_mode)
+    own = canonical_key(struct, graph_mode)
     checked = 0
     if rivals is None:
         rivals = enumerate_structures(struct.vocab, struct.order, graph_mode)
@@ -77,7 +58,7 @@ def verify_defines_up_to(struct: Structure, phi: Formula, max_order: int,
     if not evaluate(struct, phi):
         return VerificationVerdict(False, struct, 0, f"up-to-{max_order}")
     checker = compile_eval(phi, struct.vocab)
-    own = _orbit_min_mask(struct, graph_mode)
+    own = canonical_key(struct, graph_mode)
     checked = 0
     for order in range(1, max_order + 1):
         for rival in enumerate_structures(struct.vocab, order, graph_mode):

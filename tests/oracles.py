@@ -120,6 +120,57 @@ def brute_iso_classes(vocab: Vocabulary, n: int, graph_mode: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Plain game minimax.
+# ---------------------------------------------------------------------------
+
+def brute_game_rank(a: Structure, b: Structure, cap: int, budget=None):
+    """Least r <= cap in which Spoiler forces a win, or None: a memoized
+    minimax over raw pebble sequences that tries every move and every reply,
+    with no symmetry reduction. `budget` caps how often Spoiler may switch
+    structures."""
+    sizes = (a.order, b.order)
+    counted = budget is not None
+
+    def legal(seq1, seq2, x, y) -> bool:
+        """Adding the pair (x, y) keeps the pebbled map a partial isomorphism."""
+        if any((u == x) != (v == y) for u, v in zip(seq1, seq2)):
+            return False
+        pairs = dict(zip(seq1 + (x,), seq2 + (y,)))
+        for idx, (_, arity) in enumerate(a.vocab.symbols):
+            for tup in itertools.product(pairs, repeat=arity):
+                if x in tup and (tup in a.tables[idx]) != (
+                        tuple(pairs[e] for e in tup) in b.tables[idx]):
+                    return False
+        return True
+
+    @lru_cache(maxsize=None)
+    def wins(seq1, seq2, last, switches, r) -> bool:
+        if r == 0:
+            return False
+        for side in (0, 1):
+            switched = last is not None and side != last
+            if switched and counted and switches >= budget:
+                continue
+            for elem in range(sizes[side]):
+                spoiler_wins = True
+                for reply in range(sizes[1 - side]):
+                    x, y = (elem, reply) if side == 0 else (reply, elem)
+                    if legal(seq1, seq2, x, y) and not wins(
+                            seq1 + (x,), seq2 + (y,), side if counted else None,
+                            switches + switched if counted else 0, r - 1):
+                        spoiler_wins = False
+                        break
+                if spoiler_wins:
+                    return True
+        return False
+
+    for r in range(1, cap + 1):
+        if wins((), (), None, 0, r):
+            return r
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Ground-expansion evaluation.
 # ---------------------------------------------------------------------------
 

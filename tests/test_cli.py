@@ -3,7 +3,9 @@ import json
 import pytest
 
 from fid.cli import main
-from fid.structures import parse_fos
+from fid.games import identification_rank
+from fid.structures import (GRAPH_VOCAB, enumerate_structures, format_fos,
+                            parse_fos, relabel)
 
 
 P3_TEXT = "vocab E/2\norder 3\ngraph\nE 0 1\nE 1 2\n"
@@ -103,6 +105,15 @@ def test_rank(p3_file, capsys):
     assert main(["--json", "rank", p3_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 2
+
+
+def test_rank_relabelled_input(tmp_path, capsys):
+    rep = list(enumerate_structures(GRAPH_VOCAB, 5, graph_mode=True))[27]
+    path = tmp_path / "g27.fos"
+    path.write_text(format_fos(relabel(rep, (1, 4, 3, 2, 0)), graph=True))
+    assert main(["rank", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == \
+        f"I = {identification_rank(rep, graph_mode=True)}"
 
 
 def test_enumerate(capsys):

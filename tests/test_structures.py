@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,11 +9,12 @@ from conftest import graph
 from oracles import brute_find_isomorphism, brute_iso_classes, random_graph, random_structure
 
 from fid.errors import CapExceeded, InputError
-from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary,
+from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, _mask_of,
                             canonical_form, canonical_key,
-                            enumerate_structures, find_isomorphism, format_fos,
-                            graph_complement, induced, is_partial_isomorphism,
-                            isomorphic, parse_fos, parse_vocab_spec, relabel)
+                            enumerate_structures, extends, find_isomorphism,
+                            format_fos, graph_complement, induced,
+                            is_partial_isomorphism, isomorphic, parse_fos,
+                            parse_vocab_spec, relabel)
 
 
 def test_vocabulary_validation():
@@ -96,12 +98,54 @@ def test_find_isomorphism_matches_brute_force():
             assert got == want
 
 
+def test_partial_isomorphism_incremental_check():
+    """`extends` on a partial isomorphism plus one pair agrees with the full
+    check, for unary, binary and ternary symbols."""
+    vocab = Vocabulary((("P", 1), ("E", 2), ("T", 3)))
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        a = random_structure(vocab, n, rng, density=0.3)
+        b = random_structure(vocab, n, rng, density=0.3)
+        size = rng.randrange(1, n + 1)
+        dom, img = rng.sample(range(n), size), rng.sample(range(n), size)
+        mapping = dict(zip(dom[:-1], img[:-1]))
+        if not is_partial_isomorphism(a, b, mapping):
+            continue
+        mapping[dom[-1]] = img[-1]
+        assert extends(a, b, mapping, dom[-1]) == is_partial_isomorphism(a, b, mapping)
+
+
 def test_canonical_form_invariance(p3):
     relabeled = relabel(p3, (2, 0, 1))
     assert canonical_form(p3) == canonical_form(relabeled)
     assert canonical_form(graph(2, [(0, 1)])) != canonical_form(graph(2, []))
     with pytest.raises(CapExceeded):
-        canonical_key(graph(9, []), cap=8)
+        canonical_key(graph(9, []))
+    with pytest.raises(InputError):
+        canonical_key(Structure(GRAPH_VOCAB, 2, [{(0, 0)}]), graph_mode=True)
+    # the key is the mask of the enumeration representative, under every
+    # relabelling, in both layouts
+    for struct in enumerate_structures(GRAPH_VOCAB, 3):
+        for perm in itertools.permutations(range(3)):
+            assert canonical_key(relabel(struct, perm)) == _mask_of(struct, False)
+    for struct in enumerate_structures(GRAPH_VOCAB, 5, graph_mode=True):
+        for perm in itertools.permutations(range(5)):
+            assert canonical_key(relabel(struct, perm), True) == _mask_of(struct, True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False))
+def test_canonical_key_agrees_with_find_isomorphism(n, loops, rng):
+    struct = random_structure(GRAPH_VOCAB, n, rng) if loops else random_graph(n, rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    image = relabel(struct, perm)
+    assert find_isomorphism(struct, image) is not None
+    assert canonical_key(struct) == canonical_key(image)
+    other = random_structure(GRAPH_VOCAB, n, rng) if loops else random_graph(n, rng)
+    assert (canonical_key(struct) == canonical_key(other)) == \
+        (find_isomorphism(struct, other) is not None)
 
 
 def test_canonical_classes_order4_count():
@@ -150,6 +194,9 @@ def test_isomorphic_agrees_with_canonical():
         a, b = random_structure(GRAPH_VOCAB, n, rng), random_structure(GRAPH_VOCAB, n, rng)
         assert isomorphic(a, b) == (find_isomorphism(a, b) is not None)
         assert (canonical_form(a) == canonical_form(b)) == isomorphic(a, b)
+    order6 = list(enumerate_structures(GRAPH_VOCAB, 6, graph_mode=True))
+    assert isomorphic(graph_complement(order6[12]), order6[150])
+    assert canonical_key(graph_complement(order6[12])) == canonical_key(order6[150])
 
 
 def test_graph_complement(h5):

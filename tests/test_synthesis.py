@@ -7,9 +7,9 @@ from conftest import graph
 from oracles import random_graph
 
 from fid.errors import InputError
-from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, canonical_key,
-                            enumerate_structures, find_isomorphism,
-                            graph_complement)
+from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, canonical_form,
+                            canonical_key, enumerate_structures,
+                            find_isomorphism, graph_complement)
 from fid.equivalences import sim_classes
 from fid.invariants import bs_budget, gen_gm, rho, sigma
 from fid.logic import TRUE, compile_eval, evaluate, exists_block, forall_block, metrics
@@ -168,15 +168,15 @@ def test_complement_rewrite_semantics():
 
 
 def test_graph_pipeline_budgets():
-    pair = {canonical_key(exceptional_graph()),
-            canonical_key(graph_complement(exceptional_graph()))}
+    pair = {canonical_form(exceptional_graph()),
+            canonical_form(graph_complement(exceptional_graph()))}
     for n in range(1, 7):
         for struct in enumerate_structures(GRAPH_VOCAB, n, graph_mode=True):
             result = synth_graph(struct)
             m = result.metrics
             assert fast_true(struct, result.formula)
             assert Fraction(m.quantifiers) <= Fraction(3 * n, 4) + Fraction(3, 2)
-            if n >= 5 and canonical_key(struct) not in pair:
+            if n >= 5 and canonical_form(struct) not in pair:
                 assert m.quantifiers <= n - 1 and m.universals <= 2
 
 
