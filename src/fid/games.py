@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .equivalences import base_decomposition, classes_of
-from .errors import FidError, InputError, UnsupportedPosition
+from .errors import CapExceeded, FidError, InputError, UnsupportedPosition
 from .structures import (Structure, _mask_of, automorphisms, canonical_key,
                          enumerate_structures, extends, is_partial_isomorphism)
 
@@ -122,8 +122,7 @@ class GameSolver:
                 other_stab = stab2 if side == 0 else stab1
                 reps = set(_orbit_reps(self.m2.order if side == 0 else self.m1.order,
                                        other_stab))
-                responses = [w for w in responses
-                             if w in reps or w in (seq2 if side == 0 else seq1)]
+                responses = [w for w in responses if w in reps]
                 all_win = True
                 for w in responses:
                     if side == 0:
@@ -217,7 +216,7 @@ def identification_rank(struct: Structure, alternations: int | None = None,
         solver = GameSolver(struct, rival)
         value = solver.position_rank((), (), cap, budget=alternations)
         if value is None:
-            raise FidError(
+            raise CapExceeded(
                 f"round cap {cap} exhausted against a non-isomorphic rival")
         worst = max(worst, value)
     return worst

@@ -4,9 +4,11 @@ AST with n-ary conjunction/disjunction (the synthesized matrices contain
 combinatorially large disjunctions, and n-ary nodes keep the metric
 computations linear), quantifier-rank/alternation/prefix metrics computed by
 a depth-tracked traversal with polarity, a plain recursive model checker, a
-compiled evaluator for the verification sweeps, and the two quantifier-free
-building blocks every synthesized formula is made of: the all-distinct
-conjunction and the atomic-diagram formula of a tuple.
+compiled evaluator for one structure, a bit-sliced evaluator that checks a
+sentence on thousands of same-order structures at once (the verification
+sweeps), and the two quantifier-free building blocks every synthesized
+formula is made of: the all-distinct conjunction and the atomic-diagram
+formula of a tuple.
 
 Text format (prenex sentences only):
 
@@ -306,35 +308,55 @@ def evaluate(struct: Structure, phi: Formula, env: dict[str, int] | None = None)
 _MISSING = object()
 
 
+def _check_formula(phi: Formula, vocab: Vocabulary, free: tuple[str, ...] = ()):
+    """Raise InputError for an unknown symbol, a wrong arity or an unbound
+    variable anywhere in the formula, in the order a depth-first walk meets
+    them. The compiled evaluators check up front, so a branch that a run
+    would skip still fails."""
+    arities = dict(vocab.symbols)
+
+    def walk(node, bound):
+        if isinstance(node, Rel):
+            if node.sym not in arities:
+                raise InputError(f"formula uses unknown symbol {node.sym!r}")
+            arity = arities[node.sym]
+            if len(node.args) != arity:
+                raise InputError(f"{node.sym} expects arity {arity}, got {len(node.args)}")
+            variables = node.args
+        elif isinstance(node, Eq):
+            variables = (node.left, node.right)
+        elif isinstance(node, Not):
+            return walk(node.child, bound)
+        elif isinstance(node, (And, Or)):
+            for child in node.children:
+                walk(child, bound)
+            return
+        else:
+            return walk(node.body, bound | {node.var})
+        for var in variables:
+            if var not in bound:
+                raise InputError(f"unbound variable {var!r}")
+
+    walk(phi, frozenset(free))
+
+
 def compile_eval(phi: Formula, vocab: Vocabulary, free_order: tuple[str, ...] = ()):
     """Compile a formula into a Python callable f(struct, *free_values).
 
-    Semantically identical to `evaluate`; used for the exhaustive
-    verification sweeps where the same formula is checked against thousands
-    of rival structures.
+    Semantically identical to `evaluate`; for checking one formula, with
+    free variables, on many assignments of one structure.
     """
-    sym_index = {name: (i, arity) for i, (name, arity) in enumerate(vocab.symbols)}
+    _check_formula(phi, vocab, free_order)
+    sym_index = {name: i for i, (name, _) in enumerate(vocab.symbols)}
     counter = itertools.count()
 
     def gen(node, names):
         if isinstance(node, Rel):
-            try:
-                idx, arity = sym_index[node.sym]
-            except KeyError:
-                raise InputError(f"formula uses unknown symbol {node.sym!r}") from None
-            if len(node.args) != arity:
-                raise InputError(f"{node.sym} expects arity {arity}, got {len(node.args)}")
-            try:
-                args = [names[a] for a in node.args]
-            except KeyError as exc:
-                raise InputError(f"unbound variable {exc.args[0]!r}") from None
+            args = [names[a] for a in node.args]
             inner = ", ".join(args) + ("," if len(args) == 1 else "")
-            return f"(({inner}) in T{idx})"
+            return f"(({inner}) in T{sym_index[node.sym]})"
         if isinstance(node, Eq):
-            try:
-                return f"({names[node.left]} == {names[node.right]})"
-            except KeyError as exc:
-                raise InputError(f"unbound variable {exc.args[0]!r}") from None
+            return f"({names[node.left]} == {names[node.right]})"
         if isinstance(node, Not):
             return f"(not {gen(node.child, names)})"
         if isinstance(node, And):
@@ -361,6 +383,113 @@ def compile_eval(phi: Formula, vocab: Vocabulary, free_order: tuple[str, ...] = 
         return fn(range(struct.order), *struct.tables, *free_values)
 
     return call
+
+
+# ---------------------------------------------------------------------------
+# Bit-sliced evaluation: one sentence on many structures of one order.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BitSlices:
+    """Structures of one order, sliced by tuple: bit r of `atoms[s][tup]`
+    is set iff structure r holds `tup` in symbol s. `full` has one bit per
+    structure."""
+    order: int
+    full: int
+    atoms: tuple[dict[tuple[int, ...], int], ...]
+
+
+def bit_slices(vocab: Vocabulary, order: int, structs) -> BitSlices:
+    """Slice a sequence of structures of the given order over `vocab`."""
+    atoms = tuple({} for _ in vocab.symbols)
+    for r, struct in enumerate(structs):
+        if struct.order != order:
+            raise InputError(
+                f"expected structures of order {order}, got one of order {struct.order}")
+        bit = 1 << r
+        for slot, table in zip(atoms, struct.tables):
+            for tup in table:
+                slot[tup] = slot.get(tup, 0) | bit
+    return BitSlices(order, (1 << len(structs)) - 1, atoms)
+
+
+def compile_bits(phi: Formula, vocab: Vocabulary):
+    """Compile a sentence into f(slices) -> int, the set of sliced
+    structures that satisfy it, bit r for structure r.
+
+    Bit r agrees with `evaluate(structs[r], phi)`. Each subformula is one
+    int over all structures: atoms are looked up, connectives and
+    quantifiers are bitwise. Every branch gets a care-set, the structures
+    whose answer is still open, and returns its result within it. A
+    conjunction or universal stops once the care-set empties; a
+    disjunction or existential stops once its result covers the care-set.
+    """
+    _check_formula(phi, vocab)
+    sym_index = {name: i for i, (name, _) in enumerate(vocab.symbols)}
+
+    def run(slices: BitSlices) -> int:
+        universe = range(slices.order)
+        env: list[int] = []   # env[d] is the value of the quantifier at depth d
+
+        def bind(depth, e, body):
+            def instance(care):
+                env[depth] = e
+                return body(care)
+            return instance
+
+        def gen(node, slot_of, depth):
+            if isinstance(node, Rel):
+                atoms = slices.atoms[sym_index[node.sym]]
+                slots = tuple(slot_of[a] for a in node.args)
+                if len(slots) == 1:
+                    i, = slots
+                    return lambda care: atoms.get((env[i],), 0) & care
+                if len(slots) == 2:
+                    i, j = slots
+                    return lambda care: atoms.get((env[i], env[j]), 0) & care
+                return lambda care: atoms.get(tuple(map(env.__getitem__, slots)), 0) & care
+            if isinstance(node, Eq):
+                i, j = slot_of[node.left], slot_of[node.right]
+                return lambda care: care if env[i] == env[j] else 0
+            if isinstance(node, Not):
+                child = gen(node.child, slot_of, depth)
+                return lambda care: care ^ child(care)
+            if isinstance(node, (And, Or)):
+                parts = [gen(c, slot_of, depth) for c in node.children]
+                return (_all_of if isinstance(node, And) else _any_of)(parts)
+            if depth == len(env):
+                env.append(0)
+            body = gen(node.body, {**slot_of, node.var: depth}, depth + 1)
+            parts = [bind(depth, e, body) for e in universe]
+            return (_all_of if isinstance(node, ForAll) else _any_of)(parts)
+
+        return gen(phi, {}, 0)(slices.full)
+
+    return run
+
+
+def _all_of(parts):
+    def conjunction(care):
+        for part in parts:
+            care = part(care)
+            if not care:
+                break
+        return care
+    return conjunction
+
+
+def _any_of(parts):
+    def disjunction(care):
+        out = 0
+        for part in parts:
+            got = part(care)
+            if got:
+                out |= got
+                care ^= got
+                if not care:
+                    break
+        return out
+    return disjunction
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,32 @@
-"""Brute-force semantics of "identifies" and "defines", plus corpus audits.
+"""Exhaustive semantics of "identifies" and "defines", plus corpus audits.
 
 A synthesized formula is only trusted after every same-order rival (or every
-rival up to an order cap, for defining) has been enumerated and evaluated
-against it. The audit sweeps a whole enumeration, runs analysis + synthesis +
+rival up to an order cap, for defining) has been enumerated and checked
+against it. The check is bit-sliced: the rivals of one order are taken in
+blocks, and one pass of `logic.compile_bits` gives the set of rivals in a
+block that satisfy the formula, one bit per rival. Only satisfying rivals
+are canonicalised, to tell the input's own class from a counterexample.
+The audit sweeps a whole enumeration, runs analysis + synthesis +
 verification per structure, and aggregates the corpus-level claims.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InputError
 from .invariants import DEFAULT_DELTA_CAP, analyze, bound_report, bs_budget
-from .logic import Formula, compile_eval, evaluate
+from .logic import BitSlices, Formula, bit_slices, compile_bits, evaluate
 from .structures import (Structure, Vocabulary, _mask_of, _structure_from_mask,
                          canonical_key, enumerate_structures)
 from .synthesis import synth_auto, synth_graph
+
+# Rivals per bit-sliced pass. Large enough that the 3044 order-4 digraphs
+# are one block; the enumeration is consumed one block at a time.
+RIVAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -28,25 +37,63 @@ class VerificationVerdict:
     scope: str
 
 
+# The last block sliced, as ((vocab, order, block), slices). An audit checks
+# every formula against the same rival list, so its slices are built once.
+# The key is compared by value; the identity shortcut of tuple equality makes
+# a hit one pointer comparison per rival.
+_last_slices: tuple = (None, None)
+
+
+def _slices(vocab: Vocabulary, order: int, block: tuple[Structure, ...]) -> BitSlices:
+    global _last_slices
+    key, slices = _last_slices
+    if key != (vocab, order, block):
+        slices = bit_slices(vocab, order, block)
+        _last_slices = ((vocab, order, block), slices)
+    return slices
+
+
+def _first_satisfying(check, vocab: Vocabulary, order: int, rivals, is_own):
+    """(the first rival outside the input's own class that satisfies the
+    compiled sentence `check`, or None; the number of such rivals checked
+    up to it). All rivals must have the given order.
+
+    Every rival of the input's own class satisfies the sentence, so only
+    satisfying rivals, lowest bit first, are tested for membership. The
+    rivals are sliced RIVAL_BLOCK at a time."""
+    rivals = iter(rivals)
+    checked = 0
+    while block := tuple(itertools.islice(rivals, RIVAL_BLOCK)):
+        sat = check(_slices(vocab, order, block))
+        own = 0
+        while sat:
+            low = sat & -sat
+            r = low.bit_length() - 1
+            if not is_own(block[r]):
+                return block[r], checked + r + 1 - own
+            own += 1
+            sat ^= low
+        checked += len(block) - own
+    return None, checked
+
+
 def verify_identifies(struct: Structure, phi: Formula, graph_mode: bool = False,
                       rivals=None) -> VerificationVerdict:
     """Pass iff the structure satisfies the formula and no non-isomorphic
     rival of the same order does. The counterexample, if any, is the first
-    satisfying rival in enumeration order."""
+    satisfying rival in enumeration order (in the order of `rivals`, which
+    must all have the structure's order)."""
     if not evaluate(struct, phi):
         return VerificationVerdict(False, struct, 0, "same-order")
-    checker = compile_eval(phi, struct.vocab)
+    check = compile_bits(phi, struct.vocab)
     own = canonical_key(struct, graph_mode)
-    checked = 0
     if rivals is None:
         rivals = enumerate_structures(struct.vocab, struct.order, graph_mode)
-    for rival in rivals:
-        if _mask_of(rival, graph_mode) == own:
-            continue
-        checked += 1
-        if checker(rival):
-            return VerificationVerdict(False, rival, checked, "same-order")
-    return VerificationVerdict(True, None, checked, "same-order")
+    counterexample, checked = _first_satisfying(
+        check, struct.vocab, struct.order, rivals,
+        lambda rival: _mask_of(rival, graph_mode) == own)
+    return VerificationVerdict(counterexample is None, counterexample, checked,
+                               "same-order")
 
 
 def verify_defines_up_to(struct: Structure, phi: Formula, max_order: int,
@@ -55,20 +102,24 @@ def verify_defines_up_to(struct: Structure, phi: Formula, max_order: int,
     satisfies the formula. Not a proof of definability."""
     if max_order < struct.order:
         raise InputError("the order cap must cover the structure's own order")
+    scope = f"up-to-{max_order}"
     if not evaluate(struct, phi):
-        return VerificationVerdict(False, struct, 0, f"up-to-{max_order}")
-    checker = compile_eval(phi, struct.vocab)
+        return VerificationVerdict(False, struct, 0, scope)
+    check = compile_bits(phi, struct.vocab)
     own = canonical_key(struct, graph_mode)
+
+    def is_own(rival):
+        return rival.order == struct.order and _mask_of(rival, graph_mode) == own
+
     checked = 0
     for order in range(1, max_order + 1):
-        for rival in enumerate_structures(struct.vocab, order, graph_mode):
-            if order == struct.order and _mask_of(rival, graph_mode) == own:
-                continue
-            checked += 1
-            if checker(rival):
-                return VerificationVerdict(False, rival, checked,
-                                           f"up-to-{max_order}")
-    return VerificationVerdict(True, None, checked, f"up-to-{max_order}")
+        counterexample, count = _first_satisfying(
+            check, struct.vocab, order,
+            enumerate_structures(struct.vocab, order, graph_mode), is_own)
+        checked += count
+        if counterexample is not None:
+            return VerificationVerdict(False, counterexample, checked, scope)
+    return VerificationVerdict(True, None, checked, scope)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel
-from fid.structures import Structure, Vocabulary
+from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, compile_eval, evaluate
+from fid.structures import (Structure, Vocabulary, _mask_of, canonical_key,
+                            enumerate_structures)
+from fid.verification import VerificationVerdict
 
 
 def brute_find_isomorphism(a: Structure, b: Structure):
@@ -236,6 +238,49 @@ def ground_eval(struct: Structure, phi, env=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Per-rival verification.
+# ---------------------------------------------------------------------------
+
+def brute_verify_identifies(struct: Structure, phi, graph_mode: bool = False,
+                            rivals=None):
+    """`verify_identifies` as one compiled evaluation per rival, skipping
+    the rivals whose mask is the input's canonical key."""
+    if not evaluate(struct, phi):
+        return VerificationVerdict(False, struct, 0, "same-order")
+    checker = compile_eval(phi, struct.vocab)
+    own = canonical_key(struct, graph_mode)
+    checked = 0
+    if rivals is None:
+        rivals = enumerate_structures(struct.vocab, struct.order, graph_mode)
+    for rival in rivals:
+        if _mask_of(rival, graph_mode) == own:
+            continue
+        checked += 1
+        if checker(rival):
+            return VerificationVerdict(False, rival, checked, "same-order")
+    return VerificationVerdict(True, None, checked, "same-order")
+
+
+def brute_verify_defines_up_to(struct: Structure, phi, max_order: int,
+                               graph_mode: bool = False):
+    """`verify_defines_up_to` as one compiled evaluation per rival."""
+    scope = f"up-to-{max_order}"
+    if not evaluate(struct, phi):
+        return VerificationVerdict(False, struct, 0, scope)
+    checker = compile_eval(phi, struct.vocab)
+    own = canonical_key(struct, graph_mode)
+    checked = 0
+    for order in range(1, max_order + 1):
+        for rival in enumerate_structures(struct.vocab, order, graph_mode):
+            if order == struct.order and _mask_of(rival, graph_mode) == own:
+                continue
+            checked += 1
+            if checker(rival):
+                return VerificationVerdict(False, rival, checked, scope)
+    return VerificationVerdict(True, None, checked, scope)
+
+
+# ---------------------------------------------------------------------------
 # Characteristic formulas (rank-r types).
 # ---------------------------------------------------------------------------
 
@@ -276,7 +321,6 @@ def characteristic_formula(struct: Structure, anchors: tuple[int, ...], rank: in
 def game_rank_via_formulas(a: Structure, b: Structure, cap: int) -> int | None:
     """Minimum r such that the rank-r characteristic formula of `a`
     distinguishes it from `b`; equals the game value."""
-    from fid.logic import evaluate
     for r in range(1, cap + 1):
         if not evaluate(b, characteristic_formula(a, (), r)):
             return r

@@ -107,6 +107,15 @@ def test_rank(p3_file, capsys):
     assert payload["value"] == 2
 
 
+def test_rank_round_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "e3.fos"
+    path.write_text("vocab E/2\norder 3\ngraph\nE 0 1\n")
+    assert main(["rank", str(path), "--max-rounds", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: round cap 1 exhausted")
+    assert "Traceback" not in err
+
+
 def test_rank_relabelled_input(tmp_path, capsys):
     rep = list(enumerate_structures(GRAPH_VOCAB, 5, graph_mode=True))[27]
     path = tmp_path / "g27.fos"

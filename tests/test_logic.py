@@ -2,15 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph
 from oracles import ground_eval, random_formula, random_structure
 
 from fid.errors import FormulaTooLarge, InputError
 from fid.structures import (GRAPH_VOCAB, enumerate_structures,
-                            is_partial_isomorphism, relabel)
+                            is_partial_isomorphism, parse_vocab_spec, relabel)
 from fid.logic import (FALSE, TRUE, And, Eq, Exists, ForAll, Not, Or, Rel,
-                       compile_eval, dist_formula, evaluate, exists_block,
+                       bit_slices, compile_bits, compile_eval, dist_formula,
+                       evaluate, exists_block,
                        forall_block, format_formula, guard_nodes, implies,
                        iso_formula, metrics, node_count, parse_formula)
 
@@ -109,6 +112,34 @@ def test_compile_eval_matches_evaluate():
         phi = random_formula(GRAPH_VOCAB, rng)
         s = random_structure(GRAPH_VOCAB, rng.randrange(1, 5), rng)
         assert compile_eval(phi, GRAPH_VOCAB)(s) == evaluate(s, phi)
+
+
+MIXED_VOCAB = parse_vocab_spec("P/1 E/2 T/3")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([GRAPH_VOCAB, MIXED_VOCAB]), st.integers(1, 4),
+       st.integers(1, 4), st.randoms(use_true_random=False))
+def test_compile_bits_matches_evaluate(vocab, n, max_qr, rng):
+    structs = [random_structure(vocab, n, rng, rng.random())
+               for _ in range(rng.randrange(1, 20))]
+    phi = random_formula(vocab, rng, max_qr=max_qr)
+    sat = compile_bits(phi, vocab)(bit_slices(vocab, n, structs))
+    assert sat >> len(structs) == 0
+    for r, struct in enumerate(structs):
+        want = ground_eval(struct, phi)
+        assert evaluate(struct, phi) == want
+        assert bool(sat >> r & 1) == want
+
+
+def test_compile_bits_shadowing(k3, p3):
+    # the third quantifier rebinds x; z must not take x's place
+    phi = Exists("x", Exists("y", Exists("x", ForAll("z", Or((
+        Eq("x", "z"), Rel("E", ("x", "z"))))))))
+    structs = [k3, p3, graph(3, [])]
+    sat = compile_bits(phi, GRAPH_VOCAB)(bit_slices(GRAPH_VOCAB, 3, structs))
+    assert [bool(sat >> r & 1) for r in range(3)] == \
+        [evaluate(s, phi) for s in structs] == [True, True, False]
 
 
 def test_ground_oracle_agreement():
