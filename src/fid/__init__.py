@@ -6,9 +6,9 @@ from .structures import (GRAPH_VOCAB, Structure, Vocabulary, canonical_form,
                          graph_complement, induced, is_partial_isomorphism,
                          isomorphic, parse_fos, format_fos, relabel)
 from .equivalences import (BaseDecomposition, Partition, approx_x,
-                           base_decomposition, class_equiv_phi, classes_of,
-                           equiv_phi, equiv_x, is_base, sim_classes, similar,
-                           transform_e, transform_t)
+                           base_decomposition, classes_of, equiv_phi, equiv_x,
+                           is_base, sim_classes, similar, transform_e,
+                           transform_t)
 from .invariants import (InvariantReport, analyze, bound_report,
                          check_clone_definitions, clone, delta_exact,
                          delta_lower, gen_gm, gen_mfmg, rho, rho_exact, sigma)

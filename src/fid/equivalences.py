@@ -30,9 +30,6 @@ class Partition:
     def support(self) -> frozenset[int]:
         return frozenset(e for cls in self.classes for e in cls)
 
-    def class_index(self) -> dict[int, int]:
-        return {e: i for i, cls in enumerate(self.classes) for e in cls}
-
     def class_of(self, element: int) -> tuple[int, ...]:
         for cls in self.classes:
             if element in cls:
@@ -95,10 +92,6 @@ def similar(struct: Structure, u: int, v: int) -> bool:
 def sim_classes(struct: Structure) -> Partition:
     """Partition of the full universe into similarity classes."""
     return _build_partition(struct.universe(), lambda a, b: similar(struct, a, b))
-
-
-def sim_class_of(struct: Structure, v: int) -> tuple[int, ...]:
-    return sim_classes(struct).class_of(v)
 
 
 def equiv_x(struct: Structure, cond: frozenset[int] | set[int], a: int, b: int) -> bool:
@@ -197,13 +190,6 @@ def equiv_phi(m1: Structure, m2: Structure, phi: dict[int, int], a: int, a2: int
     ext = dict(phi)
     ext[a] = a2
     return is_partial_isomorphism(m1, m2, ext)
-
-
-def class_equiv_phi(m1: Structure, m2: Structure, phi: dict[int, int],
-                    cls1, cls2) -> bool:
-    """Class-level lift: evaluated on one representative pair; one-point
-    extensions transfer between equivalent anchors, so the choice is moot."""
-    return equiv_phi(m1, m2, phi, min(cls1), min(cls2))
 
 
 def transform_t(struct: Structure, cond) -> frozenset[int] | None:

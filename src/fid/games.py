@@ -49,11 +49,14 @@ def _orbit_reps(n: int, stabilizer: list[tuple[int, ...]]) -> list[int]:
 class GameSolver:
     """Exact game values for one structure pair, with shared memoization."""
 
-    def __init__(self, m1: Structure, m2: Structure):
+    def __init__(self, m1: Structure, m2: Structure,
+                 aut1: list[tuple[int, ...]] | None = None):
+        """`aut1`, when given, is `automorphisms(m1)`, computed once by a
+        caller that plays m1 against many structures."""
         if m1.vocab != m2.vocab:
             raise InputError("game needs structures over the same vocabulary")
         self.m1, self.m2 = m1, m2
-        self.aut1 = automorphisms(m1)
+        self.aut1 = automorphisms(m1) if aut1 is None else aut1
         self.aut2 = automorphisms(m2)
         self._memo: dict = {}
 
@@ -112,6 +115,7 @@ class GameSolver:
             stab = stab1 if side == 0 else stab2
             seq = seq1 if side == 0 else seq2
             candidates = [e for e in _orbit_reps(n_here, stab) if e not in seq]
+            reps = None   # orbit representatives of the replying side
             for elem in candidates:
                 responses = self.legal_responses(seq1, seq2, side, elem)
                 if not responses:
@@ -119,9 +123,9 @@ class GameSolver:
                     break
                 if r == 1:
                     continue
-                other_stab = stab2 if side == 0 else stab1
-                reps = set(_orbit_reps(self.m2.order if side == 0 else self.m1.order,
-                                       other_stab))
+                if reps is None:
+                    reps = set(_orbit_reps(self.m2.order, stab2) if side == 0
+                               else _orbit_reps(self.m1.order, stab1))
                 responses = [w for w in responses if w in reps]
                 all_win = True
                 for w in responses:
@@ -209,11 +213,12 @@ def identification_rank(struct: Structure, alternations: int | None = None,
     order: the semantic identification cost."""
     cap = max_rounds if max_rounds is not None else struct.order + 1
     own = canonical_key(struct, graph_mode)
+    aut = automorphisms(struct)
     worst = 0
     for rival in enumerate_structures(struct.vocab, struct.order, graph_mode):
         if _mask_of(rival, graph_mode) == own:
             continue
-        solver = GameSolver(struct, rival)
+        solver = GameSolver(struct, rival, aut)
         value = solver.position_rank((), (), cap, budget=alternations)
         if value is None:
             raise CapExceeded(

@@ -18,8 +18,10 @@ a structure is the mask of its enumeration representative.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter, or_
 
 from .errors import CapExceeded, InputError
 
@@ -368,33 +370,45 @@ def isomorphic(a: Structure, b: Structure) -> bool:
     return find_isomorphism(a, b) is not None
 
 
-def _perm_chunk_tables(perm_maps: list[tuple[int, ...]], width: int):
-    """Per-permutation chunked lookup tables: applying a bit permutation to a
-    mask becomes a handful of byte-table lookups."""
-    n_chunks = (width + 7) // 8
-    all_tables = []
-    for pm in perm_maps:
-        dest_of = [0] * width
-        for dest, src in enumerate(pm):
-            dest_of[src] = dest
-        chunks = []
-        for c in range(n_chunks):
-            base = c * 8
-            hi = min(8, width - base)
-            table = [0] * (1 << hi)
-            for v in range(1, 1 << hi):
-                low = v & -v
-                table[v] = table[v ^ low] | (1 << dest_of[base + low.bit_length() - 1])
-            chunks.append(table)
-        all_tables.append(chunks)
-    return all_tables
+def _orbit_columns(positions, n: int, graph_mode: bool) -> list[list[array]]:
+    """Per byte chunk c and byte value v, the images of the mask v << 8c under
+    every permutation of {0..n-1}, as one array. Every column lists the
+    permutations in the same order, so the images of a whole mask are the
+    element-wise OR of its chunks' columns."""
+    bit_of: dict[int, dict] = {}
+    for i, (sym, tup) in enumerate(positions):
+        bit_of.setdefault(sym, {})[tup] = 1 << i
+        if graph_mode:
+            bit_of[sym][tup[::-1]] = 1 << i
+    perms = list(itertools.permutations(range(n)))
+    image_of = [list(map(itemgetter(e), perms)) for e in range(n)]
+    bit_columns = [array("I", map(bit_of[sym].__getitem__,
+                                  zip(*map(image_of.__getitem__, tup))))
+                   for sym, tup in positions]
+    columns = []
+    # A width-0 layout still gets one chunk: the empty mask maps to itself.
+    for base in range(0, max(len(positions), 1), 8):
+        bits = bit_columns[base:base + 8]
+        col = [array("I", [0]) * len(perms)]
+        for v in range(1, 1 << len(bits)):
+            low = v & -v
+            col.append(bits[low.bit_length() - 1] if v == low
+                       else array("I", map(or_, col[v ^ low], col[low])))
+        columns.append(col)
+    return columns
 
 
 def enumerate_structures(vocab: Vocabulary, n: int, graph_mode: bool = False,
                          max_bits: int = DEFAULT_ENUM_BITS):
     """Yield exactly one representative per isomorphism class, in ascending
     order of the staged bit encoding (each representative is the minimum
-    encoding of its class)."""
+    encoding of its class).
+
+    An orbit sweep over all 2^width raw tables: the smallest unseen mask is
+    the next representative, and its images under all n! relabellings are
+    marked seen. The first step raises CapExceeded, before any permutation
+    is listed, when the width exceeds `max_bits` or n exceeds
+    DEFAULT_CANON_CAP (which bounds the columns at 8! * 3 * 256 entries)."""
     if n < 1:
         raise InputError("enumeration needs order >= 1")
     if graph_mode and (len(vocab.symbols) != 1 or vocab.symbols[0][1] != 2):
@@ -404,42 +418,25 @@ def enumerate_structures(vocab: Vocabulary, n: int, graph_mode: bool = False,
     if width > max_bits:
         raise CapExceeded(
             f"enumeration would sweep 2^{width} raw tables (cap 2^{max_bits})")
+    if n > DEFAULT_CANON_CAP:
+        raise CapExceeded(
+            f"enumeration is capped at order {DEFAULT_CANON_CAP}, got {n}")
 
-    index_of = {pos: i for i, pos in enumerate(positions)}
-    perm_maps = []
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        pm = []
-        for sym, tup in positions:
-            pre = tuple(inv[e] for e in tup)
-            if graph_mode and pre[0] > pre[1]:
-                pre = (pre[1], pre[0])
-            pm.append(index_of[(sym, pre)])
-        perm_maps.append(tuple(pm))
-
+    columns = _orbit_columns(positions, n, graph_mode)
+    higher = columns[1:]
     seen = bytearray(1 << width)
-    use_chunks = width > 16
-    chunk_tables = _perm_chunk_tables(perm_maps, width) if use_chunks else None
-
-    for mask in range(1 << width):
-        if seen[mask]:
-            continue
-        if use_chunks:
-            m0 = mask & 0xFF
-            m1 = (mask >> 8) & 0xFF
-            m2 = mask >> 16
-            for chunks in chunk_tables:
-                seen[chunks[0][m0] | chunks[1][m1] | chunks[2][m2]] = 1
-        else:
-            for pm in perm_maps:
-                img = 0
-                for b, src in enumerate(pm):
-                    if mask >> src & 1:
-                        img |= 1 << b
-                seen[img] = 1
+    mask = 0
+    while mask >= 0:
+        images = columns[0][mask & 0xFF]
+        rest = mask >> 8
+        for col in higher:
+            if rest & 0xFF:
+                images = map(or_, images, col[rest & 0xFF])
+            rest >>= 8
+        for img in images:
+            seen[img] = 1
         yield _structure_from_mask(vocab, n, mask, graph_mode)
+        mask = seen.find(0, mask + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,36 @@ def brute_iso_classes(vocab: Vocabulary, n: int, graph_mode: bool) -> int:
     return len(reps)
 
 
+def burnside_count(vocab: Vocabulary, n: int, graph_mode: bool) -> int:
+    """Number of isomorphism classes by Burnside's lemma: the average over
+    all permutations of 2^(number of cycles the permutation makes on the bit
+    positions). The positions are every tuple of every symbol, or every
+    unordered loop-free pair in graph mode: the set `_bit_layout` orders."""
+    if graph_mode:
+        positions = [(0, (i, j)) for i in range(n) for j in range(i + 1, n)]
+    else:
+        positions = [(idx, tup) for idx, (_, arity) in enumerate(vocab.symbols)
+                     for tup in itertools.product(range(n), repeat=arity)]
+    total = 0
+    perms = 0
+    for perm in itertools.permutations(range(n)):
+        perms += 1
+        seen = set()
+        cycles = 0
+        for pos in positions:
+            if pos in seen:
+                continue
+            cycles += 1
+            while pos not in seen:
+                seen.add(pos)
+                idx, tup = pos
+                img = tuple(perm[e] for e in tup)
+                pos = (idx, tuple(sorted(img)) if graph_mode else img)
+        total += 1 << cycles
+    assert total % perms == 0
+    return total // perms
+
+
 # ---------------------------------------------------------------------------
 # Plain game minimax.
 # ---------------------------------------------------------------------------

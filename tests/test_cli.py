@@ -125,6 +125,13 @@ def test_rank_relabelled_input(tmp_path, capsys):
         f"I = {identification_rank(rep, graph_mode=True)}"
 
 
+def test_enumerate_order_cap_exits_3(capsys):
+    assert main(["enumerate", "--vocab", "P/1", "--order", "12"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: enumeration is capped at order 8")
+    assert "Traceback" not in err
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", "--vocab", "E/2", "--order", "3", "--graphs"]) == 0
     captured = capsys.readouterr()

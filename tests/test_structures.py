@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph
-from oracles import brute_find_isomorphism, brute_iso_classes, random_graph, random_structure
+from oracles import (brute_find_isomorphism, brute_iso_classes, burnside_count,
+                     random_graph, random_structure)
 
 from fid.errors import CapExceeded, InputError
 from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, _mask_of,
@@ -180,9 +181,38 @@ def test_enumeration_reps_pairwise_distinct():
         assert sum(1 for r in reps if isomorphic(g, r)) == 1
 
 
+ENUMERATION_CASES = ([(GRAPH_VOCAB, n, True) for n in range(1, 8)]
+                     + [(GRAPH_VOCAB, n, False) for n in range(1, 5)]
+                     + [(parse_vocab_spec("P/1 E/2"), 4, False)]
+                     + [(parse_vocab_spec("P/1"), n, False) for n in range(1, 9)])
+
+
+@pytest.mark.parametrize("vocab,n,graph_mode", ENUMERATION_CASES,
+                         ids=[f"{v.spec()}-{n}{'-graphs' if g else ''}"
+                              for v, n, g in ENUMERATION_CASES])
+def test_enumeration_against_burnside_and_canonical_key(vocab, n, graph_mode):
+    """Masks strictly ascend, their number is the Burnside count, and each is
+    its structure's canonical key (every 97th structure past 1000 classes).
+    Graphs of order 7 and P/1 E/2 at order 4 mark images through a third
+    byte chunk."""
+    count = burnside_count(vocab, n, graph_mode)
+    step = 97 if count > 1000 else 1
+    masks = []
+    for index, struct in enumerate(enumerate_structures(vocab, n, graph_mode)):
+        masks.append(_mask_of(struct, graph_mode))
+        if index % step == 0:
+            assert canonical_key(struct, graph_mode) == masks[-1]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    assert len(masks) == count
+
+
 def test_enumeration_guard():
     with pytest.raises(CapExceeded):
         list(enumerate_structures(GRAPH_VOCAB, 9, graph_mode=True))
+    # Unary structures fit the width cap at any order up to 24; the order
+    # cap stops them before the n! permutations are listed.
+    with pytest.raises(CapExceeded, match="capped at order 8"):
+        next(enumerate_structures(parse_vocab_spec("P/1"), 9))
     with pytest.raises(InputError):
         list(enumerate_structures(Vocabulary((("P", 1),)), 3, graph_mode=True))
 
