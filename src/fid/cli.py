@@ -196,7 +196,7 @@ def _cmd_verify(args, config: CliConfig) -> int:
 def _cmd_game(args, config: CliConfig) -> int:
     a, _ = _load_structure(args.a)
     b, _ = _load_structure(args.b)
-    cap = args.max_rounds or config.game_cap
+    cap = args.max_rounds if args.max_rounds is not None else config.game_cap
     if args.alternations is None:
         value = distinguishing_rank(a, b, cap)
     else:
@@ -211,7 +211,7 @@ def _cmd_game(args, config: CliConfig) -> int:
 
 def _cmd_rank(args, config: CliConfig) -> int:
     struct, graph_mode = _load_structure(args.file)
-    cap = args.max_rounds or config.game_cap
+    cap = args.max_rounds if args.max_rounds is not None else config.game_cap
     value = identification_rank(struct, args.alternations, cap, graph_mode)
     payload = {"value": value, "alternations": args.alternations}
     label = "I" if args.alternations is None else f"I^{args.alternations}"

@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError
-from .structures import Structure, is_partial_isomorphism
+from .structures import Structure, is_partial_isomorphism, memoized
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def similar(struct: Structure, u: int, v: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@memoized
 def sim_classes(struct: Structure) -> Partition:
     """Partition of the full universe into similarity classes."""
     return _build_partition(struct.universe(), lambda a, b: similar(struct, a, b))
@@ -162,7 +161,7 @@ def approx_x(struct: Structure, cond: frozenset[int] | set[int], a: int, b: int)
     return True
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _classes(struct: Structure, cond: frozenset[int]) -> Partition:
     rest = [e for e in struct.universe() if e not in cond]
     return _build_partition(rest, lambda a, b: equiv_x(struct, cond, a, b))
@@ -271,7 +270,7 @@ def counting_terms(struct: Structure, decomp: BaseDecomposition) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
+@memoized
 def base_decomposition(struct: Structure) -> BaseDecomposition:
     """Layered construction: X_i grows by transform_e, Y_i collects the small
     classes, X_{k+1} = X_k + Y_k, Z is everything else.

@@ -49,14 +49,11 @@ def _orbit_reps(n: int, stabilizer: list[tuple[int, ...]]) -> list[int]:
 class GameSolver:
     """Exact game values for one structure pair, with shared memoization."""
 
-    def __init__(self, m1: Structure, m2: Structure,
-                 aut1: list[tuple[int, ...]] | None = None):
-        """`aut1`, when given, is `automorphisms(m1)`, computed once by a
-        caller that plays m1 against many structures."""
+    def __init__(self, m1: Structure, m2: Structure):
         if m1.vocab != m2.vocab:
             raise InputError("game needs structures over the same vocabulary")
         self.m1, self.m2 = m1, m2
-        self.aut1 = automorphisms(m1) if aut1 is None else aut1
+        self.aut1 = automorphisms(m1)
         self.aut2 = automorphisms(m2)
         self._memo: dict = {}
 
@@ -211,14 +208,15 @@ def identification_rank(struct: Structure, alternations: int | None = None,
                         graph_mode: bool = False) -> int:
     """Worst game value against any non-isomorphic structure of the same
     order: the semantic identification cost."""
+    if alternations is not None and alternations < 0:
+        raise InputError("alternation budget must be non-negative")
     cap = max_rounds if max_rounds is not None else struct.order + 1
     own = canonical_key(struct, graph_mode)
-    aut = automorphisms(struct)
     worst = 0
     for rival in enumerate_structures(struct.vocab, struct.order, graph_mode):
         if _mask_of(rival, graph_mode) == own:
             continue
-        solver = GameSolver(struct, rival, aut)
+        solver = GameSolver(struct, rival)
         value = solver.position_rank((), (), cap, budget=alternations)
         if value is None:
             raise CapExceeded(

@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .equivalences import (base_decomposition, classes_of, fineness, is_base,
                            sim_classes)
 from .errors import InputError
-from .structures import GRAPH_VOCAB, Structure
+from .structures import GRAPH_VOCAB, Structure, memoized
 
 DEFAULT_DELTA_CAP = 16
 
@@ -48,7 +47,7 @@ def _witness_from_cond(struct: Structure, cond: frozenset[int]) -> frozenset[int
     return frozenset(min(c) for c in classes_of(struct, cond).classes)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _delta_exact_cached(struct: Structure) -> DeltaWitness:
     n = struct.order
     best = -1

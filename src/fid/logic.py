@@ -3,12 +3,13 @@
 AST with n-ary conjunction/disjunction (the synthesized matrices contain
 combinatorially large disjunctions, and n-ary nodes keep the metric
 computations linear), quantifier-rank/alternation/prefix metrics computed by
-a depth-tracked traversal with polarity, a plain recursive model checker, a
-compiled evaluator for one structure, a bit-sliced evaluator that checks a
-sentence on thousands of same-order structures at once (the verification
-sweeps), and the two quantifier-free building blocks every synthesized
-formula is made of: the all-distinct conjunction and the atomic-diagram
-formula of a tuple.
+a depth-tracked traversal with polarity, one model checker, and the two
+quantifier-free building blocks every synthesized formula is made of: the
+all-distinct conjunction and the atomic-diagram formula of a tuple.
+
+The model checker, `compile_bits`, is bit-sliced: it checks a formula on
+thousands of same-order structures at once (the verification sweeps).
+`evaluate` and `compile_eval` run it on a one-structure slice.
 
 Text format (prenex sentences only):
 
@@ -252,67 +253,19 @@ def metrics(phi: Formula) -> FormulaMetrics:
 # ---------------------------------------------------------------------------
 
 def evaluate(struct: Structure, phi: Formula, env: dict[str, int] | None = None) -> bool:
-    """Tarskian semantics; equality built in; innermost binding wins."""
-    env = dict(env) if env else {}
-    sym_index = {name: (i, arity) for i, (name, arity) in enumerate(struct.vocab.symbols)}
-
-    def run(node, env):
-        if isinstance(node, Rel):
-            try:
-                idx, arity = sym_index[node.sym]
-            except KeyError:
-                raise InputError(f"formula uses unknown symbol {node.sym!r}") from None
-            if len(node.args) != arity:
-                raise InputError(f"{node.sym} expects arity {arity}, got {len(node.args)}")
-            try:
-                tup = tuple(env[a] for a in node.args)
-            except KeyError as exc:
-                raise InputError(f"unbound variable {exc.args[0]!r}") from None
-            return tup in struct.tables[idx]
-        if isinstance(node, Eq):
-            try:
-                return env[node.left] == env[node.right]
-            except KeyError as exc:
-                raise InputError(f"unbound variable {exc.args[0]!r}") from None
-        if isinstance(node, Not):
-            return not run(node.child, env)
-        if isinstance(node, And):
-            return all(run(c, env) for c in node.children)
-        if isinstance(node, Or):
-            return any(run(c, env) for c in node.children)
-        saved = env.get(node.var, _MISSING)
-        result = None
-        if isinstance(node, Exists):
-            result = False
-            for e in struct.universe():
-                env[node.var] = e
-                if run(node.body, env):
-                    result = True
-                    break
-        else:
-            result = True
-            for e in struct.universe():
-                env[node.var] = e
-                if not run(node.body, env):
-                    result = False
-                    break
-        if saved is _MISSING:
-            env.pop(node.var, None)
-        else:
-            env[node.var] = saved
-        return result
-
-    return run(phi, env)
-
-
-_MISSING = object()
+    """Whether the structure satisfies the formula under `env`, the values
+    of its free variables. Malformed formulas raise InputError, also in a
+    branch that the truth value does not depend on."""
+    env = env or {}
+    check = compile_bits(phi, struct.vocab, tuple(env))
+    return bool(check(bit_slices(struct.vocab, struct.order, (struct,)), *env.values()))
 
 
 def _check_formula(phi: Formula, vocab: Vocabulary, free: tuple[str, ...] = ()):
     """Raise InputError for an unknown symbol, a wrong arity or an unbound
     variable anywhere in the formula, in the order a depth-first walk meets
-    them. The compiled evaluators check up front, so a branch that a run
-    would skip still fails."""
+    them. The model checker checks up front, so a branch that a run would
+    skip still fails."""
     arities = dict(vocab.symbols)
 
     def walk(node, bound):
@@ -341,52 +294,19 @@ def _check_formula(phi: Formula, vocab: Vocabulary, free: tuple[str, ...] = ()):
 
 
 def compile_eval(phi: Formula, vocab: Vocabulary, free_order: tuple[str, ...] = ()):
-    """Compile a formula into a Python callable f(struct, *free_values).
+    """Compile a formula into f(struct, *free_values) -> bool: `compile_bits`
+    run on a one-structure slice, for checking one formula, with free
+    variables, on many assignments of one structure."""
+    check = compile_bits(phi, vocab, free_order)
 
-    Semantically identical to `evaluate`; for checking one formula, with
-    free variables, on many assignments of one structure.
-    """
-    _check_formula(phi, vocab, free_order)
-    sym_index = {name: i for i, (name, _) in enumerate(vocab.symbols)}
-    counter = itertools.count()
-
-    def gen(node, names):
-        if isinstance(node, Rel):
-            args = [names[a] for a in node.args]
-            inner = ", ".join(args) + ("," if len(args) == 1 else "")
-            return f"(({inner}) in T{sym_index[node.sym]})"
-        if isinstance(node, Eq):
-            return f"({names[node.left]} == {names[node.right]})"
-        if isinstance(node, Not):
-            return f"(not {gen(node.child, names)})"
-        if isinstance(node, And):
-            if not node.children:
-                return "True"
-            return "(" + " and ".join(gen(c, names) for c in node.children) + ")"
-        if isinstance(node, Or):
-            if not node.children:
-                return "False"
-            return "(" + " or ".join(gen(c, names) for c in node.children) + ")"
-        fresh = f"v{next(counter)}"
-        inner = gen(node.body, {**names, node.var: fresh})
-        head = "any" if isinstance(node, Exists) else "all"
-        return f"{head}({inner} for {fresh} in U)"
-
-    free_names = {var: f"f{i}" for i, var in enumerate(free_order)}
-    expr = gen(phi, dict(free_names))
-    params = ["U"] + [f"T{i}" for i in range(len(vocab.symbols))] + \
-        [free_names[v] for v in free_order]
-    source = f"lambda {', '.join(params)}: {expr}"
-    fn = eval(compile(source, "<formula>", "eval"))  # noqa: S307 - our own codegen
-
-    def call(struct: Structure, *free_values):
-        return fn(range(struct.order), *struct.tables, *free_values)
+    def call(struct: Structure, *free_values) -> bool:
+        return bool(check(bit_slices(vocab, struct.order, (struct,)), *free_values))
 
     return call
 
 
 # ---------------------------------------------------------------------------
-# Bit-sliced evaluation: one sentence on many structures of one order.
+# Bit-sliced evaluation: one formula on one or many structures of one order.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -413,23 +333,29 @@ def bit_slices(vocab: Vocabulary, order: int, structs) -> BitSlices:
     return BitSlices(order, (1 << len(structs)) - 1, atoms)
 
 
-def compile_bits(phi: Formula, vocab: Vocabulary):
-    """Compile a sentence into f(slices) -> int, the set of sliced
-    structures that satisfy it, bit r for structure r.
+def compile_bits(phi: Formula, vocab: Vocabulary, free: tuple[str, ...] = ()):
+    """Compile a formula into f(slices, *free_values) -> int, the set of
+    sliced structures that satisfy it under the free-variable values given
+    in the order of `free`, bit r for structure r.
 
-    Bit r agrees with `evaluate(structs[r], phi)`. Each subformula is one
-    int over all structures: atoms are looked up, connectives and
-    quantifiers are bitwise. Every branch gets a care-set, the structures
-    whose answer is still open, and returns its result within it. A
-    conjunction or universal stops once the care-set empties; a
-    disjunction or existential stops once its result covers the care-set.
+    Tarskian semantics, equality built in, innermost binding wins. Each
+    subformula is one int over all structures: atoms are looked up,
+    connectives and quantifiers are bitwise. Every branch gets a care-set,
+    the structures whose answer is still open, and returns its result
+    within it. A conjunction or universal stops once the care-set empties;
+    a disjunction or existential stops once its result covers the care-set.
     """
-    _check_formula(phi, vocab)
+    _check_formula(phi, vocab, free)
     sym_index = {name: i for i, (name, _) in enumerate(vocab.symbols)}
+    free_slots = {var: i for i, var in enumerate(free)}
 
-    def run(slices: BitSlices) -> int:
+    def run(slices: BitSlices, *values) -> int:
+        if len(values) != len(free):
+            raise TypeError(f"expected {len(free)} free-variable values, got {len(values)}")
         universe = range(slices.order)
-        env: list[int] = []   # env[d] is the value of the quantifier at depth d
+        # env[d] is the value of the free variable (d < len(free)) or of the
+        # quantifier at depth d - len(free)
+        env = list(values)
 
         def bind(depth, e, body):
             def instance(care):
@@ -463,7 +389,7 @@ def compile_bits(phi: Formula, vocab: Vocabulary):
             parts = [bind(depth, e, body) for e in universe]
             return (_all_of if isinstance(node, ForAll) else _any_of)(parts)
 
-        return gen(phi, {}, 0)(slices.full)
+        return gen(phi, free_slots, len(free))(slices.full)
 
     return run
 

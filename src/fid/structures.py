@@ -5,7 +5,8 @@ is decided: a single incremental preservation check (`extends`), a single
 profile-pruned backtracker (`isomorphisms`, behind `find_isomorphism`,
 `automorphisms` and `isomorphic`), and a single canonical mask
 (`canonical_key`). Structures are enumerated up to isomorphism by an orbit
-sweep over raw bit tables.
+sweep over raw bit tables. Results computed from one structure are
+memoized on the structure itself (`memoized`), so they are freed with it.
 
 The bit layout used throughout is "staged": bit positions are grouped by the
 maximum element occurring in the tuple, so that fixing the images of
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import itemgetter, or_
 
 from .errors import CapExceeded, InputError
@@ -64,11 +65,25 @@ class Vocabulary:
 GRAPH_VOCAB = Vocabulary((("E", 2),))
 
 
+def memoized(fn):
+    """Cache fn(struct, *args) in the structure's own memo, keyed by the
+    function and the arguments, so the entries are freed with the
+    structure. Arguments must be hashable; fn never returns None."""
+    @wraps(fn)
+    def wrapper(struct, *args):
+        key = (fn, *args)
+        value = struct._memo.get(key)
+        if value is None:
+            value = struct._memo[key] = fn(struct, *args)
+        return value
+    return wrapper
+
+
 class Structure:
     """Immutable finite structure: universe {0..order-1} plus one tuple set
     per relation symbol (tuple present <=> relation value 1)."""
 
-    __slots__ = ("vocab", "order", "tables", "_hash", "_row_cache")
+    __slots__ = ("vocab", "order", "tables", "_hash", "_memo")
 
     def __init__(self, vocab: Vocabulary, order: int, tables):
         if order < 1:
@@ -86,7 +101,7 @@ class Structure:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_hash", hash((vocab, order, tables)))
-        object.__setattr__(self, "_row_cache", {})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *args):
         raise AttributeError("Structure is immutable")
@@ -112,18 +127,15 @@ class Structure:
     def universe(self) -> range:
         return range(self.order)
 
+    @memoized
     def binary_rows(self, sym_idx: int):
         """(out_rows, in_rows) bitmask adjacency for an arity-2 symbol."""
-        cached = self._row_cache.get(sym_idx)
-        if cached is None:
-            out = [0] * self.order
-            inn = [0] * self.order
-            for a, b in self.tables[sym_idx]:
-                out[a] |= 1 << b
-                inn[b] |= 1 << a
-            cached = (tuple(out), tuple(inn))
-            self._row_cache[sym_idx] = cached
-        return cached
+        out = [0] * self.order
+        inn = [0] * self.order
+        for a, b in self.tables[sym_idx]:
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+        return tuple(out), tuple(inn)
 
     def is_graph(self) -> bool:
         """Single binary symbol, symmetric, irreflexive."""
@@ -268,8 +280,13 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[int, int] | None:
 
 
 def automorphisms(struct: Structure) -> list[tuple[int, ...]]:
-    """All automorphisms, in lexicographic order."""
-    return list(isomorphisms(struct, struct))
+    """All automorphisms, in lexicographic order, as a fresh list."""
+    return list(_automorphism_group(struct))
+
+
+@memoized
+def _automorphism_group(struct: Structure) -> tuple[tuple[int, ...], ...]:
+    return tuple(isomorphisms(struct, struct))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .invariants import DEFAULT_DELTA_CAP, analyze, bound_report, bs_budget
-from .logic import BitSlices, Formula, bit_slices, compile_bits, evaluate
+from .logic import BitSlices, Formula, bit_slices, compile_bits
 from .structures import (Structure, Vocabulary, _mask_of, _structure_from_mask,
                          canonical_key, enumerate_structures)
 from .synthesis import synth_auto, synth_graph
@@ -83,9 +83,9 @@ def verify_identifies(struct: Structure, phi: Formula, graph_mode: bool = False,
     rival of the same order does. The counterexample, if any, is the first
     satisfying rival in enumeration order (in the order of `rivals`, which
     must all have the structure's order)."""
-    if not evaluate(struct, phi):
-        return VerificationVerdict(False, struct, 0, "same-order")
     check = compile_bits(phi, struct.vocab)
+    if not check(bit_slices(struct.vocab, struct.order, (struct,))):
+        return VerificationVerdict(False, struct, 0, "same-order")
     own = canonical_key(struct, graph_mode)
     if rivals is None:
         rivals = enumerate_structures(struct.vocab, struct.order, graph_mode)
@@ -103,9 +103,9 @@ def verify_defines_up_to(struct: Structure, phi: Formula, max_order: int,
     if max_order < struct.order:
         raise InputError("the order cap must cover the structure's own order")
     scope = f"up-to-{max_order}"
-    if not evaluate(struct, phi):
-        return VerificationVerdict(False, struct, 0, scope)
     check = compile_bits(phi, struct.vocab)
+    if not check(bit_slices(struct.vocab, struct.order, (struct,))):
+        return VerificationVerdict(False, struct, 0, scope)
     own = canonical_key(struct, graph_mode)
 
     def is_own(rival):

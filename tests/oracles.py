@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, compile_eval, evaluate
+from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, evaluate
 from fid.structures import (Structure, Vocabulary, _mask_of, canonical_key,
                             enumerate_structures)
 from fid.verification import VerificationVerdict
@@ -267,17 +267,50 @@ def ground_eval(struct: Structure, phi, env=None) -> bool:
     return value(expand(phi))
 
 
+def codegen_eval(phi, vocab: Vocabulary):
+    """Compile a well-formed sentence into f(struct) -> bool: one generated
+    Python expression, nested any/all over the universe, evaluated once.
+    The reference for the library's model checker; it shares nothing with
+    it but the formula classes."""
+    sym_index = {name: i for i, (name, _) in enumerate(vocab.symbols)}
+    counter = itertools.count()
+
+    def gen(node, names):
+        if isinstance(node, Rel):
+            args = [names[a] for a in node.args]
+            inner = ", ".join(args) + ("," if len(args) == 1 else "")
+            return f"(({inner}) in T{sym_index[node.sym]})"
+        if isinstance(node, Eq):
+            return f"({names[node.left]} == {names[node.right]})"
+        if isinstance(node, Not):
+            return f"(not {gen(node.child, names)})"
+        if isinstance(node, (And, Or)):
+            if not node.children:
+                return "True" if isinstance(node, And) else "False"
+            joiner = " and " if isinstance(node, And) else " or "
+            return "(" + joiner.join(gen(c, names) for c in node.children) + ")"
+        fresh = f"v{next(counter)}"
+        inner = gen(node.body, {**names, node.var: fresh})
+        head = "any" if isinstance(node, Exists) else "all"
+        return f"{head}({inner} for {fresh} in U)"
+
+    params = ["U"] + [f"T{i}" for i in range(len(vocab.symbols))]
+    source = f"lambda {', '.join(params)}: {gen(phi, {})}"
+    fn = eval(compile(source, "<formula>", "eval"))  # noqa: S307 - our own codegen
+    return lambda struct: fn(range(struct.order), *struct.tables)
+
+
 # ---------------------------------------------------------------------------
 # Per-rival verification.
 # ---------------------------------------------------------------------------
 
 def brute_verify_identifies(struct: Structure, phi, graph_mode: bool = False,
                             rivals=None):
-    """`verify_identifies` as one compiled evaluation per rival, skipping
+    """`verify_identifies` as one `codegen_eval` evaluation per rival, skipping
     the rivals whose mask is the input's canonical key."""
-    if not evaluate(struct, phi):
+    checker = codegen_eval(phi, struct.vocab)
+    if not checker(struct):
         return VerificationVerdict(False, struct, 0, "same-order")
-    checker = compile_eval(phi, struct.vocab)
     own = canonical_key(struct, graph_mode)
     checked = 0
     if rivals is None:
@@ -293,11 +326,11 @@ def brute_verify_identifies(struct: Structure, phi, graph_mode: bool = False,
 
 def brute_verify_defines_up_to(struct: Structure, phi, max_order: int,
                                graph_mode: bool = False):
-    """`verify_defines_up_to` as one compiled evaluation per rival."""
+    """`verify_defines_up_to` as one `codegen_eval` evaluation per rival."""
     scope = f"up-to-{max_order}"
-    if not evaluate(struct, phi):
+    checker = codegen_eval(phi, struct.vocab)
+    if not checker(struct):
         return VerificationVerdict(False, struct, 0, scope)
-    checker = compile_eval(phi, struct.vocab)
     own = canonical_key(struct, graph_mode)
     checked = 0
     for order in range(1, max_order + 1):
@@ -380,8 +413,11 @@ def random_graph(n: int, rng, density: float = 0.5) -> Structure:
     return Structure(GRAPH_VOCAB, n, [table])
 
 
-def random_formula(vocab: Vocabulary, rng, max_qr: int = 3, n_vars: int = 3):
-    """Random closed formula with quantifier rank at most max_qr."""
+def random_formula(vocab: Vocabulary, rng, max_qr: int = 3, n_vars: int = 3,
+                   free: tuple[str, ...] = ()):
+    """Random formula with quantifier rank at most max_qr, closed except for
+    the variables in `free`. Quantifiers bind v0, v1, ... cyclically, from
+    v{len(free)} on, so they rebind a free variable named v<i>."""
     variables = [f"v{i}" for i in range(n_vars)]
 
     def body(depth: int, bound: list[str]):
@@ -405,4 +441,4 @@ def random_formula(vocab: Vocabulary, rng, max_qr: int = 3, n_vars: int = 3):
         parts = tuple(body(depth, bound) for _ in range(2))
         return And(parts) if rng.random() < 0.5 else Or(parts)
 
-    return body(0, [])
+    return body(0, list(free))

@@ -85,6 +85,16 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "fail" in out and "vocab E/2" in out
 
 
+@pytest.mark.parametrize("text", ["FALSE & E(x,y)", "TRUE | E(x,y)"])
+def test_verify_malformed_formula_exits_2(tmp_path, capsys, text):
+    struct = tmp_path / "edge3.fos"
+    struct.write_text("vocab E/2\norder 3\ngraph\nE 0 1\n")
+    formula = tmp_path / "bad.fof"
+    formula.write_text(text + "\n")
+    assert main(["verify", str(struct), str(formula)]) == 2
+    assert capsys.readouterr().err.strip() == "input error: unbound variable 'x'"
+
+
 def test_verify_upto_scope(k3_file, tmp_path, capsys):
     formula = tmp_path / "def.fof"
     assert main(["synth", k3_file, "--method", "naive-def", "-o", str(formula)]) == 0
@@ -101,6 +111,11 @@ def test_game(k3_file, p3_file, capsys):
     assert "unresolved" in capsys.readouterr().out
 
 
+def test_game_zero_rounds(k3_file, p3_file, capsys):
+    assert main(["game", k3_file, p3_file, "--max-rounds", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "D unresolved within 0 rounds"
+
+
 def test_rank(p3_file, capsys):
     assert main(["--json", "rank", p3_file]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -114,6 +129,18 @@ def test_rank_round_cap_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource cap exceeded: round cap 1 exhausted")
     assert "Traceback" not in err
+
+
+def test_rank_zero_rounds_exits_3(p3_file, capsys):
+    assert main(["rank", p3_file, "--max-rounds", "0"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "resource cap exceeded: round cap 0 exhausted")
+
+
+def test_rank_negative_alternations(p3_file, capsys):
+    assert main(["rank", p3_file, "--alternations", "-1"]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "input error: alternation budget must be non-negative"
 
 
 def test_rank_relabelled_input(tmp_path, capsys):

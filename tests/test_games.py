@@ -24,6 +24,10 @@ def test_automorphisms(k3, p3, h5):
     assert len(automorphisms(p3)) == 2
     assert len(automorphisms(h5)) == 4  # swap outer path ends x swap isolates
     assert len(automorphisms(graph(4, []))) == 24
+    # memoized on the structure, but each call returns a fresh list
+    first = automorphisms(p3)
+    first.clear()
+    assert automorphisms(p3) == [(0, 1, 2), (2, 1, 0)]
 
 
 def test_rank_examples(edge2, k3, p3):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph
-from oracles import ground_eval, random_formula, random_structure
+from oracles import codegen_eval, ground_eval, random_formula, random_structure
 
 from fid.errors import FormulaTooLarge, InputError
 from fid.structures import (GRAPH_VOCAB, enumerate_structures,
@@ -111,10 +111,44 @@ def test_compile_eval_matches_evaluate():
     for _ in range(150):
         phi = random_formula(GRAPH_VOCAB, rng)
         s = random_structure(GRAPH_VOCAB, rng.randrange(1, 5), rng)
-        assert compile_eval(phi, GRAPH_VOCAB)(s) == evaluate(s, phi)
+        want = ground_eval(s, phi)
+        assert codegen_eval(phi, GRAPH_VOCAB)(s) == want
+        assert compile_eval(phi, GRAPH_VOCAB)(s) == want
+        assert evaluate(s, phi) == want
 
 
 MIXED_VOCAB = parse_vocab_spec("P/1 E/2 T/3")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([GRAPH_VOCAB, MIXED_VOCAB]), st.integers(1, 4),
+       st.integers(1, 2), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_free_variables_match_ground_eval(vocab, n, n_free, max_qr, rng):
+    # deep enough quantifiers rebind v0 (see random_formula)
+    free = tuple(f"v{i}" for i in range(n_free))
+    phi = random_formula(vocab, rng, max_qr=max_qr, free=free)
+    struct = random_structure(vocab, n, rng, rng.random())
+    names = [*free, "unused"]
+    rng.shuffle(names)
+    env = {var: rng.randrange(n) for var in names}
+    want = ground_eval(struct, phi, env)
+    assert evaluate(struct, phi, env) == want
+    assert compile_eval(phi, vocab, tuple(env))(struct, *env.values()) == want
+
+
+def test_free_variable_rebound(p3):
+    # x is free outside the quantifier and rebound inside it; the free value
+    # must hold again after the quantifier: "some x is adjacent to all
+    # others, and the given x is not"
+    dominates = ForAll("y", Or((Eq("x", "y"), Rel("E", ("x", "y")))))
+    phi = And((Exists("x", dominates), Not(dominates)))
+    check = compile_eval(phi, GRAPH_VOCAB, ("z", "x"))
+    for x, want in enumerate([True, False, True]):
+        assert ground_eval(p3, phi, {"x": x}) == want
+        assert evaluate(p3, phi, {"z": 2, "x": x}) == want
+        assert check(p3, 2, x) == want
+    with pytest.raises(TypeError):
+        check(p3, 0)
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from conftest import graph
 from oracles import (brute_find_isomorphism, brute_iso_classes, burnside_count,
                      random_graph, random_structure)
 
+import fid
 from fid.errors import CapExceeded, InputError
 from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, _mask_of,
                             canonical_form, canonical_key,
@@ -272,3 +275,17 @@ def test_loops_allowed_outside_graph_mode():
     looped = Structure(GRAPH_VOCAB, 1, [{(0, 0)}])
     assert looped.holds(0, (0, 0))
     assert not looped.is_graph()
+
+
+def test_no_module_level_caches():
+    # results keyed on a structure live in its memo and are freed with it;
+    # the bit layout is keyed on (vocab, order, graph mode)
+    cached = set()
+    for info in pkgutil.iter_modules(fid.__path__):
+        module = importlib.import_module(f"fid.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for fn in (obj, *members):
+                if hasattr(fn, "cache_info"):
+                    cached.add(f"{fn.__module__}.{fn.__qualname__}")
+    assert cached == {"fid.structures._bit_layout"}

@@ -211,7 +211,8 @@ def test_defines_up_to_matches_brute():
 def test_malformed_branch_raises_when_skipped(k3, bad, message):
     # the TRUE disjunct settles every rival, so a run never reaches `bad`
     phi = Or((TRUE, bad))
-    assert evaluate(k3, phi)
+    with pytest.raises(InputError, match=message):
+        evaluate(k3, phi)
     with pytest.raises(InputError, match=message):
         verify_identifies(k3, phi, graph_mode=True)
     with pytest.raises(InputError, match=message):
