@@ -271,6 +271,19 @@ def _cmd_audit(args, config: CliConfig) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """Argparse type for integers >= low; anything else exits 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _global_options(parser, suppress: bool):
     # Registered on the root parser and again on every subcommand (with
     # suppressed defaults) so the flags work in either position.
@@ -278,11 +291,11 @@ def _global_options(parser, suppress: bool):
     parser.add_argument("--json", action="store_true",
                         default=default if suppress else False,
                         help="machine output")
-    for name, fallback in (("--delta-cap", DEFAULT_DELTA_CAP),
-                           ("--node-ceiling", DEFAULT_NODE_CEILING),
-                           ("--game-cap", DEFAULT_ROUND_CAP),
-                           ("--workers", 1)):
-        parser.add_argument(name, type=int,
+    for name, fallback, low in (("--delta-cap", DEFAULT_DELTA_CAP, 0),
+                                ("--node-ceiling", DEFAULT_NODE_CEILING, 0),
+                                ("--game-cap", DEFAULT_ROUND_CAP, 0),
+                                ("--workers", 1, 1)):
+        parser.add_argument(name, type=_at_least(low),
                             default=argparse.SUPPRESS if suppress else fallback)
 
 
@@ -318,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--alternations", type=int, default=None)
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_at_least(0), default=None)
     p.set_defaults(run=_cmd_game)
 
     p = sub.add_parser("rank", help="identification rank (max over rivals)")
     p.add_argument("file")
     p.add_argument("--alternations", type=int, default=None)
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_at_least(0), default=None)
     p.set_defaults(run=_cmd_rank)
 
     p = sub.add_parser("enumerate", help="structures up to isomorphism")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .structures import Structure, is_partial_isomorphism, memoized
+from .structures import (Structure, is_partial_isomorphism, memoized,
+                         violated_tuple)
 
 
 @dataclass(frozen=True)
@@ -184,11 +185,11 @@ def equiv_phi(m1: Structure, m2: Structure, phi: dict[int, int], a: int, a2: int
     be one, with a outside its domain and a2 outside its range."""
     if not is_partial_isomorphism(m1, m2, phi):
         raise InputError("phi is not a partial isomorphism")
+    if not (0 <= a < m1.order and 0 <= a2 < m2.order):
+        raise InputError("extension point out of range")
     if a in phi or a2 in phi.values():
         raise InputError("extension point already covered by phi")
-    ext = dict(phi)
-    ext[a] = a2
-    return is_partial_isomorphism(m1, m2, ext)
+    return violated_tuple(m1, m2, {**phi, a: a2}, a) is None
 
 
 def transform_t(struct: Structure, cond) -> frozenset[int] | None:

@@ -16,13 +16,13 @@ how the class partitions of the two structures line up.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .equivalences import base_decomposition, classes_of
 from .errors import CapExceeded, FidError, InputError, UnsupportedPosition
 from .structures import (Structure, _mask_of, automorphisms, canonical_key,
-                         enumerate_structures, extends, is_partial_isomorphism)
+                         enumerate_structures, is_partial_isomorphism,
+                         violated_tuple)
 
 DEFAULT_ROUND_CAP = 12
 # Memo keys are canonicalized under automorphism groups up to this size.
@@ -66,7 +66,7 @@ class GameSolver:
                 return False
         mapping = dict(zip(seq1, seq2))
         mapping[a] = b
-        return extends(self.m1, self.m2, mapping, a)
+        return violated_tuple(self.m1, self.m2, mapping, a) is None
 
     def legal_responses(self, seq1, seq2, side: int, elem: int) -> list[int]:
         """All elements of the other structure keeping the position alive."""
@@ -93,16 +93,12 @@ class GameSolver:
 
     # -- minimax ------------------------------------------------------------
 
-    def _wins(self, seq1, seq2, stab1, stab2, last, switches, budget, r) -> bool:
-        if r <= 0:
-            return False
-        key = (self._canon(self.aut1, seq1), self._canon(self.aut2, seq2),
-               last if budget is not None else None,
-               switches if budget is not None else 0, budget, r)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
+    def _winning_moves(self, seq1, seq2, stab1, stab2, last, switches, budget, r):
+        """Yield every Spoiler move (side, elem) that wins within r rounds,
+        side 0 first, elements ascending. Only unpebbled orbit
+        representatives under the stabilizers are tried: a move wins iff its
+        images under the stabilizer do, and the least element of a winning
+        orbit is its representative."""
         for side in (0, 1):
             if last is not None and side != last and budget is not None \
                     and switches >= budget:
@@ -116,32 +112,33 @@ class GameSolver:
             for elem in candidates:
                 responses = self.legal_responses(seq1, seq2, side, elem)
                 if not responses:
-                    result = True
-                    break
+                    yield side, elem
+                    continue
                 if r == 1:
                     continue
                 if reps is None:
                     reps = set(_orbit_reps(self.m2.order, stab2) if side == 0
                                else _orbit_reps(self.m1.order, stab1))
-                responses = [w for w in responses if w in reps]
-                all_win = True
-                for w in responses:
-                    if side == 0:
-                        ns1, ns2 = seq1 + (elem,), seq2 + (w,)
-                    else:
-                        ns1, ns2 = seq1 + (w,), seq2 + (elem,)
-                    if not self._wins(ns1, ns2, self._stab(stab1, (ns1[-1],)),
-                                      self._stab(stab2, (ns2[-1],)), side,
-                                      new_switches, budget, r - 1):
-                        all_win = False
-                        break
-                if all_win:
-                    result = True
-                    break
-            if result:
-                break
-        self._memo[key] = result
-        return result
+                replies = ((seq1 + (elem,), seq2 + (w,)) if side == 0
+                           else (seq1 + (w,), seq2 + (elem,))
+                           for w in responses if w in reps)
+                if all(self._wins(ns1, ns2, self._stab(stab1, (ns1[-1],)),
+                                  self._stab(stab2, (ns2[-1],)), side,
+                                  new_switches, budget, r - 1)
+                       for ns1, ns2 in replies):
+                    yield side, elem
+
+    def _wins(self, seq1, seq2, stab1, stab2, last, switches, budget, r) -> bool:
+        if r <= 0:
+            return False
+        key = (self._canon(self.aut1, seq1), self._canon(self.aut2, seq2),
+               last if budget is not None else None,
+               switches if budget is not None else 0, budget, r)
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = next(self._winning_moves(
+                seq1, seq2, stab1, stab2, last, switches, budget, r), None) is not None
+        return cached
 
     def position_rank(self, seq1, seq2, cap: int, budget: int | None = None,
                       last: int | None = None, switches: int = 0) -> int | None:
@@ -156,34 +153,11 @@ class GameSolver:
 
     def winning_move(self, seq1, seq2, r: int, budget=None, last=None,
                      switches: int = 0):
-        """A Spoiler move that wins within r rounds, or None."""
+        """The first Spoiler move that wins within r rounds, or None."""
         seq1, seq2 = tuple(seq1), tuple(seq2)
-        stab1 = self._stab(self.aut1, seq1)
-        stab2 = self._stab(self.aut2, seq2)
-        for side in (0, 1):
-            if last is not None and side != last and budget is not None \
-                    and switches >= budget:
-                continue
-            new_switches = switches + (1 if last is not None and side != last else 0)
-            n_here = self.m1.order if side == 0 else self.m2.order
-            for elem in range(n_here):
-                responses = self.legal_responses(seq1, seq2, side, elem)
-                if not responses:
-                    return side, elem
-                if r == 1:
-                    continue
-                ok = True
-                for w in responses:
-                    ns1, ns2 = (seq1 + (elem,), seq2 + (w,)) if side == 0 \
-                        else (seq1 + (w,), seq2 + (elem,))
-                    if not self._wins(ns1, ns2, self._stab(stab1, (ns1[-1],)),
-                                      self._stab(stab2, (ns2[-1],)),
-                                      side, new_switches, budget, r - 1):
-                        ok = False
-                        break
-                if ok:
-                    return side, elem
-        return None
+        return next(self._winning_moves(
+            seq1, seq2, self._stab(self.aut1, seq1), self._stab(self.aut2, seq2),
+            last, switches, budget, r), None)
 
 
 def distinguishing_rank(m1: Structure, m2: Structure,
@@ -303,7 +277,8 @@ class SolverSpoiler:
         if r is None:
             raise FidError("no forced win within the cap")
         move = self.solver.winning_move(self.seq1, self.seq2, r)
-        assert move is not None
+        if move is None:
+            raise FidError(f"solver spoiler: no winning move at the solved rank {r}")
         self.pending = move
         return move
 
@@ -376,11 +351,6 @@ class PhasedSpoiler:
         phi = self.phis[i]
         return frozenset(phi.values())
 
-    def _ext_ok(self, phi: dict[int, int], a: int, b: int) -> bool:
-        ext = dict(phi)
-        ext[a] = b
-        return len(set(ext.values())) == len(ext) and extends(self.m1, self.m2, ext, a)
-
     def threat_level(self, a: int, b: int) -> int | None:
         """Smallest completed layer at which the pair sits outside both sides
         yet fails the one-point extension test."""
@@ -388,7 +358,7 @@ class PhasedSpoiler:
             phi = self.phis[i]
             if a in phi or b in phi.values():
                 continue
-            if not self._ext_ok(phi, a, b):
+            if not self.solver.extension_ok(phi, phi.values(), a, b):
                 return i
         return None
 
@@ -431,7 +401,7 @@ class PhasedSpoiler:
                 for cls2 in small2:
                     if cls2 in matched2:
                         continue
-                    if self._ext_ok(prev, rep, cls2[0]):
+                    if self.solver.extension_ok(prev, prev.values(), rep, cls2[0]):
                         partner = cls2
                         break
                 assert partner is not None and len(partner) == len(cls), \
@@ -507,21 +477,12 @@ class PhasedSpoiler:
     def _start_recovery(self, level: int, pair: tuple[int, int]):
         a, b = pair
         phi = self.phis[level]
-        ext = dict(phi)
-        ext[a] = b
-        witness = None
-        domain = sorted(self._layer(level) | {a})
-        for idx, (_, arity) in enumerate(self.m1.vocab.symbols):
-            t1, t2 = self.m1.tables[idx], self.m2.tables[idx]
-            for tup in itertools.product(domain, repeat=arity):
-                if a not in tup:
-                    continue
-                if (tup in t1) != (tuple(ext[e] for e in tup) in t2):
-                    witness = tup
-                    break
-            if witness:
-                break
-        assert witness is not None, "threatening pair without a violated tuple"
+        ext = {**phi, a: b}
+        found = violated_tuple(self.m1, self.m2, {e: ext[e] for e in sorted(ext)}, a)
+        if found is None:
+            raise FidError(f"recovery at layer {level}: threatening pair {pair} "
+                           "without a violated tuple")
+        _, witness = found
         pebbled1 = set(self.seq1)
         missing = sorted(set(witness) - {a} - pebbled1)
         queue = []
@@ -659,7 +620,7 @@ class PhasedSpoiler:
             for cand in cls2:
                 if cand in taken:
                     continue
-                if self._ext_ok(phi_k, cls[0], cand[0]):
+                if self.solver.extension_ok(phi_k, phi_k.values(), cls[0], cand[0]):
                     partner = cand
                     break
             if partner is not None:
@@ -704,17 +665,11 @@ class PhasedSpoiler:
                 if src not in back:
                     back[src] = dst
         assert len(back) == self.m2.order, "upsilon extension is not total"
-        witness = None
-        for idx, (_, arity) in enumerate(self.m1.vocab.symbols):
-            t1, t2 = self.m1.tables[idx], self.m2.tables[idx]
-            for tup in itertools.product(range(self.m2.order), repeat=arity):
-                if (tup in t2) != (tuple(back[e] for e in tup) in t1):
-                    witness = tup
-                    break
-            if witness:
-                break
-        assert witness is not None, \
-            "class-respecting extension turned out to be an isomorphism"
+        found = violated_tuple(self.m2, self.m1, {e: back[e] for e in sorted(back)})
+        if found is None:
+            raise FidError("conclusion: class-respecting extension turned out "
+                           "to be an isomorphism")
+        _, witness = found
         pebbled2 = set(self.seq2)
         self.queue = [(1, e, None) for e in sorted(set(witness) - pebbled2)]
         assert self.queue, "concluding witness already fully pebbled"

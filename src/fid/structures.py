@@ -1,7 +1,7 @@
 """Finite relational structures over a fixed universe {0..n-1}.
 
 Representation, induced substructures, and the one place where isomorphism
-is decided: a single incremental preservation check (`extends`), a single
+is decided: a single tuple-preservation check (`violated_tuple`), a single
 profile-pruned backtracker (`isomorphisms`, behind `find_isomorphism`,
 `automorphisms` and `isomorphic`), and a single canonical mask
 (`canonical_key`). Structures are enumerated up to isomorphism by an orbit
@@ -185,19 +185,47 @@ def is_partial_isomorphism(a: Structure, b: Structure, mapping: dict[int, int]) 
     every tuple over its domain, in both truth values."""
     if a.vocab != b.vocab:
         raise InputError("partial isomorphism requires equal vocabularies")
-    dom = list(mapping)
-    if any(not (0 <= e < a.order) for e in dom):
+    if any(not (0 <= e < a.order) for e in mapping):
         raise InputError("domain element out of range")
     if any(not (0 <= e < b.order) for e in mapping.values()):
         raise InputError("range element out of range")
-    if len(set(mapping.values())) != len(dom):
-        return False
+    return len(set(mapping.values())) == len(mapping) \
+        and violated_tuple(a, b, mapping) is None
+
+
+def violated_tuple(a: Structure, b: Structure, mapping: dict[int, int],
+                   new: int | None = None) -> tuple[int, tuple[int, ...]] | None:
+    """The first (sym_idx, tup) over dom(mapping) whose truth value in `a`
+    differs from that of its image under `mapping` in `b`, or None.
+
+    Symbols are searched in vocabulary order, tuples in the order of
+    itertools.product(mapping, repeat=arity) over the mapping's key order.
+    With `new`, only the tuples that contain `new` are checked: if `mapping`
+    is injective and a partial isomorphism without `new`, None makes it one
+    with `new`. The one check behind every partial-isomorphism test,
+    isomorphism search and game move; callers keep injectivity themselves."""
+    image = mapping.__getitem__
     for idx, (_, arity) in enumerate(a.vocab.symbols):
         ta, tb = a.tables[idx], b.tables[idx]
-        for tup in itertools.product(dom, repeat=arity):
-            if (tup in ta) != (tuple(mapping[e] for e in tup) in tb):
-                return False
-    return True
+        if arity == 2 and new is not None:
+            # The product order restricted to pairs through `new`, without
+            # building the others: every game move and isomorphism step
+            # lands here.
+            img = mapping[new]
+            for x, y in mapping.items():
+                if x != new:
+                    if ((x, new) in ta) != ((y, img) in tb):
+                        return idx, (x, new)
+                    continue
+                for x2, y2 in mapping.items():
+                    if ((new, x2) in ta) != ((img, y2) in tb):
+                        return idx, (new, x2)
+            continue
+        for tup in itertools.product(mapping, repeat=arity):
+            if (new is None or new in tup) \
+                    and (tup in ta) != (tuple(map(image, tup)) in tb):
+                return idx, tup
+    return None
 
 
 def _profile(struct: Structure, v: int):
@@ -207,33 +235,6 @@ def _profile(struct: Structure, v: int):
         self_cnt = sum(1 for tup in table if all(e == v for e in tup))
         sig.append((cnt, self_cnt))
     return tuple(sig)
-
-
-def extends(a: Structure, b: Structure, mapping: dict[int, int], new: int) -> bool:
-    """True iff every tuple over dom(mapping) that contains `new` has the same
-    truth value in `a` as its image under `mapping` has in `b`.
-
-    The one check behind every incremental partial-isomorphism search: if
-    `mapping` is injective and a partial isomorphism without `new`, a True
-    result makes it one with `new`. Callers keep injectivity themselves."""
-    img = mapping[new]
-    for idx, (_, arity) in enumerate(a.vocab.symbols):
-        ta, tb = a.tables[idx], b.tables[idx]
-        if arity == 1:
-            if ((new,) in ta) != ((img,) in tb):
-                return False
-        elif arity == 2:
-            if ((new, new) in ta) != ((img, img) in tb):
-                return False
-            for x, y in mapping.items():
-                if ((new, x) in ta) != ((img, y) in tb) \
-                        or ((x, new) in ta) != ((y, img) in tb):
-                    return False
-        else:
-            for tup in itertools.product(mapping, repeat=arity):
-                if new in tup and (tup in ta) != (tuple(mapping[e] for e in tup) in tb):
-                    return False
-    return True
 
 
 def isomorphisms(a: Structure, b: Structure):
@@ -264,7 +265,7 @@ def isomorphisms(a: Structure, b: Structure):
             if used[img]:
                 continue
             mapping[src] = img
-            if extends(a, b, mapping, src):
+            if violated_tuple(a, b, mapping, src) is None:
                 used[img] = True
                 yield from backtrack(src + 1)
                 used[img] = False

@@ -35,6 +35,21 @@ def brute_find_isomorphism(a: Structure, b: Structure):
     return None
 
 
+def brute_violated_tuple(a: Structure, b: Structure, mapping: dict[int, int],
+                         new=None):
+    """First (sym_idx, tup) over the mapping's keys, in itertools.product
+    order (tuples containing `new` only, when given), whose membership in `a`
+    differs from that of its image in `b`; None if there is none."""
+    keys = list(mapping)
+    for idx, (_, arity) in enumerate(a.vocab.symbols):
+        for tup in itertools.product(keys, repeat=arity):
+            if new is not None and new not in tup:
+                continue
+            if (tup in a.tables[idx]) != (tuple(mapping[e] for e in tup) in b.tables[idx]):
+                return idx, tup
+    return None
+
+
 def brute_similar(struct: Structure, u: int, v: int) -> bool:
     swap = {u: v, v: u}
     for idx, (_, arity) in enumerate(struct.vocab.symbols):
@@ -155,11 +170,13 @@ def burnside_count(vocab: Vocabulary, n: int, graph_mode: bool) -> int:
 # Plain game minimax.
 # ---------------------------------------------------------------------------
 
-def brute_game_rank(a: Structure, b: Structure, cap: int, budget=None):
-    """Least r <= cap in which Spoiler forces a win, or None: a memoized
-    minimax over raw pebble sequences that tries every move and every reply,
-    with no symmetry reduction. `budget` caps how often Spoiler may switch
-    structures."""
+def _brute_minimax(a: Structure, b: Structure, budget):
+    """(wins, move_wins): wins(seq1, seq2, last, switches, r) says Spoiler
+    forces a win within r rounds; move_wins(..., side, elem, r) says the move
+    `elem` in structure `side` does. A memoized minimax over raw pebble
+    sequences that tries every move and every reply, with no symmetry
+    reduction. `budget` caps how often Spoiler may switch structures; a move
+    that would exceed it never wins."""
     sizes = (a.order, b.order)
     counted = budget is not None
 
@@ -168,38 +185,44 @@ def brute_game_rank(a: Structure, b: Structure, cap: int, budget=None):
         if any((u == x) != (v == y) for u, v in zip(seq1, seq2)):
             return False
         pairs = dict(zip(seq1 + (x,), seq2 + (y,)))
-        for idx, (_, arity) in enumerate(a.vocab.symbols):
-            for tup in itertools.product(pairs, repeat=arity):
-                if x in tup and (tup in a.tables[idx]) != (
-                        tuple(pairs[e] for e in tup) in b.tables[idx]):
-                    return False
+        return brute_violated_tuple(a, b, pairs, x) is None
+
+    def move_wins(seq1, seq2, last, switches, side, elem, r) -> bool:
+        switched = last is not None and side != last
+        if switched and counted and switches >= budget:
+            return False
+        for reply in range(sizes[1 - side]):
+            x, y = (elem, reply) if side == 0 else (reply, elem)
+            if legal(seq1, seq2, x, y) and not wins(
+                    seq1 + (x,), seq2 + (y,), side if counted else None,
+                    switches + switched if counted else 0, r - 1):
+                return False
         return True
 
     @lru_cache(maxsize=None)
     def wins(seq1, seq2, last, switches, r) -> bool:
         if r == 0:
             return False
-        for side in (0, 1):
-            switched = last is not None and side != last
-            if switched and counted and switches >= budget:
-                continue
-            for elem in range(sizes[side]):
-                spoiler_wins = True
-                for reply in range(sizes[1 - side]):
-                    x, y = (elem, reply) if side == 0 else (reply, elem)
-                    if legal(seq1, seq2, x, y) and not wins(
-                            seq1 + (x,), seq2 + (y,), side if counted else None,
-                            switches + switched if counted else 0, r - 1):
-                        spoiler_wins = False
-                        break
-                if spoiler_wins:
-                    return True
-        return False
+        return any(move_wins(seq1, seq2, last, switches, side, elem, r)
+                   for side in (0, 1) for elem in range(sizes[side]))
 
-    for r in range(1, cap + 1):
-        if wins((), (), None, 0, r):
-            return r
-    return None
+    return wins, move_wins
+
+
+def brute_game_rank(a: Structure, b: Structure, cap: int, budget=None):
+    """Least r <= cap in which Spoiler forces a win from the empty position,
+    or None, by the plain minimax of `_brute_minimax`."""
+    wins, _ = _brute_minimax(a, b, budget)
+    return next((r for r in range(1, cap + 1) if wins((), (), None, 0, r)), None)
+
+
+def brute_winning_move(a: Structure, b: Structure, r: int, budget=None):
+    """The least (side, elem) with which Spoiler wins within r rounds from
+    the empty position, or None, by the plain minimax of `_brute_minimax`."""
+    _, move_wins = _brute_minimax(a, b, budget)
+    return next(((side, elem) for side in (0, 1)
+                 for elem in range((a.order, b.order)[side])
+                 if move_wins((), (), None, 0, side, elem, r)), None)
 
 
 # ---------------------------------------------------------------------------

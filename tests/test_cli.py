@@ -116,6 +116,35 @@ def test_game_zero_rounds(k3_file, p3_file, capsys):
     assert capsys.readouterr().out.strip() == "D unresolved within 0 rounds"
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["game", "K3", "P3", "--max-rounds", "-1"],
+                 "--max-rounds: must be at least 0", id="game-max-rounds"),
+    pytest.param(["rank", "P3", "--max-rounds", "-1"],
+                 "--max-rounds: must be at least 0", id="rank-max-rounds"),
+    pytest.param(["--game-cap", "-2", "game", "K3", "P3"],
+                 "--game-cap: must be at least 0", id="game-cap-global"),
+    pytest.param(["game", "K3", "P3", "--game-cap", "-2"],
+                 "--game-cap: must be at least 0", id="game-cap-local"),
+    pytest.param(["--delta-cap", "-1", "analyze", "P3"],
+                 "--delta-cap: must be at least 0", id="delta-cap"),
+    pytest.param(["analyze", "P3", "--node-ceiling", "-5"],
+                 "--node-ceiling: must be at least 0", id="node-ceiling"),
+    pytest.param(["--workers", "-3", "audit", "--vocab", "E/2", "--order", "2"],
+                 "--workers: must be at least 1", id="workers-negative"),
+    pytest.param(["--workers", "0", "audit", "--vocab", "E/2", "--order", "2"],
+                 "--workers: must be at least 1", id="workers-zero"),
+    pytest.param(["--game-cap", "two", "game", "K3", "P3"],
+                 "--game-cap: invalid integer 'two'", id="not-an-integer"),
+])
+def test_negative_integer_flags_exit_2(argv, message, k3_file, p3_file, capsys):
+    files = {"K3": k3_file, "P3": p3_file}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 def test_rank(p3_file, capsys):
     assert main(["--json", "rank", p3_file]) == 0
     payload = json.loads(capsys.readouterr().out)

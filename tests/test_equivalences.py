@@ -140,6 +140,9 @@ def test_equiv_phi_examples(p3):
         equiv_phi(p3, p3, {0: 0, 1: 2}, 2, 1)
     with pytest.raises(InputError):
         equiv_phi(p3, p3, {1: 1}, 1, 0)
+    for a, a2 in ((3, 0), (0, 3), (-1, 0)):
+        with pytest.raises(InputError):
+            equiv_phi(p3, p3, {1: 1}, a, a2)
 
 
 def test_back_and_forth_properties():

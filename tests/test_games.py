@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,9 +6,9 @@ import pytest
 from fractions import Fraction
 
 from conftest import graph
-from oracles import brute_game_rank, game_rank_via_formulas
+from oracles import brute_game_rank, brute_winning_move, game_rank_via_formulas
 
-from fid.errors import InputError
+from fid.errors import FidError, InputError
 from fid.structures import GRAPH_VOCAB, Structure, enumerate_structures, relabel
 from fid.invariants import game_budget, gen_mfmg
 from fid.games import (GameSolver, OptimalDuplicator, PhasedSpoiler,
@@ -197,3 +198,61 @@ def test_optimal_duplicator_prefers_survival(k3, p3):
     assert reply == 1
     assert solver.position_rank((0,), (1,), 6) == 2
     assert solver.position_rank((0,), (0,), 6) == 1
+
+
+def test_winning_move_matches_oracle():
+    """At the game value, the solver's move is the least winning (side, elem)
+    of the plain minimax, on every pair of graphs of order <= 4."""
+    small = [s for order in range(1, 5) for s in graphs(order)]
+    for a, b in itertools.combinations(small, 2):
+        for budget in (None, 1):
+            solver = GameSolver(a, b)
+            value = solver.position_rank((), (), 8, budget=budget)
+            move = solver.winning_move((), (), value, budget=budget)
+            assert move == brute_winning_move(a, b, value, budget)
+
+
+def test_pinned_transcripts():
+    """Move choice and recovery witnesses are pinned: a SHA-256 over the
+    moves of the phased transcripts of C9, the mfmg(2) pair and P3/P4, and
+    of the solver Spoiler on every pair of graphs of order <= 4."""
+    digest = hashlib.sha256()
+
+    def add(spoiler, a, b, max_rounds):
+        digest.update(repr(play_out(spoiler, a, b, max_rounds).moves).encode())
+
+    for a, b in itertools.combinations(graphs(4), 2):
+        add(PhasedSpoiler(a, b), a, b, 10)
+    fives = graphs(5)
+    rng = random.Random(909)
+    for i, j in rng.sample(list(itertools.combinations(range(len(fives)), 2)), 20):
+        add(PhasedSpoiler(fives[i], fives[j]), fives[i], fives[j], 10)
+    a, b = gen_mfmg(2)
+    add(PhasedSpoiler(a, b), a, b, 12)
+    p3, p4 = graph(3, [(0, 1), (1, 2)]), graph(4, [(0, 1), (1, 2), (2, 3)])
+    add(PhasedSpoiler(p3, p4), p3, p4, 10)
+    small = [s for order in range(1, 5) for s in graphs(order)]
+    for a, b in itertools.combinations(small, 2):
+        add(SolverSpoiler(a, b), a, b, 8)
+    assert digest.hexdigest() == \
+        "2732049e2ef27d33e94abd425e0485b36b637c14cfea79114c8bd1a451943b6c"
+
+
+def test_recovery_without_violated_tuple_raises():
+    """Recovering from a pair that does not threaten is an internal fault
+    and raises FidError, under `python -O` too."""
+    a, b = graph(4, [(0, 1), (1, 2)]), graph(4, [(0, 1), (2, 3)])
+    spoiler = PhasedSpoiler(a, b)
+    dup = OptimalDuplicator(GameSolver(a, b), 10)
+    while not spoiler.completed:   # play until layer 1 is pinned
+        side, elem = spoiler.next_move()
+        if not spoiler.completed:
+            spoiler.observe(side, elem,
+                            dup.respond(spoiler.seq1, spoiler.seq2, side, elem))
+    phi = spoiler.phis[1]
+    quiet = [(x, y) for x in range(4) for y in range(4)
+             if x not in phi and y not in phi.values()
+             and spoiler.threat_level(x, y) is None]
+    assert quiet
+    with pytest.raises(FidError, match="without a violated tuple"):
+        spoiler._start_recovery(1, quiet[0])

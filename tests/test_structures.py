@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph
-from oracles import (brute_find_isomorphism, brute_iso_classes, burnside_count,
-                     random_graph, random_structure)
+from oracles import (brute_find_isomorphism, brute_iso_classes,
+                     brute_violated_tuple, burnside_count, random_graph,
+                     random_structure)
 
 import fid
 from fid.errors import CapExceeded, InputError
 from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, _mask_of,
                             canonical_form, canonical_key,
-                            enumerate_structures, extends, find_isomorphism,
+                            enumerate_structures, find_isomorphism,
                             format_fos, graph_complement, induced,
                             is_partial_isomorphism, isomorphic, parse_fos,
-                            parse_vocab_spec, relabel)
+                            parse_vocab_spec, relabel, violated_tuple)
 
 
 def test_vocabulary_validation():
@@ -103,21 +104,33 @@ def test_find_isomorphism_matches_brute_force():
 
 
 def test_partial_isomorphism_incremental_check():
-    """`extends` on a partial isomorphism plus one pair agrees with the full
-    check, for unary, binary and ternary symbols."""
+    """`violated_tuple` returns the oracle's first violated tuple, over every
+    tuple and over those through one element, for unary, binary and ternary
+    symbols and maps in shuffled key order (not always injective). Checking
+    only the tuples through the one element of a partial isomorphism plus
+    one pair agrees with the full check."""
     vocab = Vocabulary((("P", 1), ("E", 2), ("T", 3)))
     rng = random.Random(17)
-    for _ in range(300):
+    found = 0
+    for _ in range(400):
         n = rng.randrange(1, 5)
         a = random_structure(vocab, n, rng, density=0.3)
         b = random_structure(vocab, n, rng, density=0.3)
-        size = rng.randrange(1, n + 1)
-        dom, img = rng.sample(range(n), size), rng.sample(range(n), size)
-        mapping = dict(zip(dom[:-1], img[:-1]))
-        if not is_partial_isomorphism(a, b, mapping):
-            continue
-        mapping[dom[-1]] = img[-1]
-        assert extends(a, b, mapping, dom[-1]) == is_partial_isomorphism(a, b, mapping)
+        dom = rng.sample(range(n), rng.randrange(1, n + 1))
+        img = (rng.sample(range(n), len(dom)) if rng.random() < 0.8
+               else rng.choices(range(n), k=len(dom)))
+        mapping = dict(zip(dom, img))
+        new = rng.choice(dom)
+        want = brute_violated_tuple(a, b, mapping)
+        assert violated_tuple(a, b, mapping) == want
+        assert violated_tuple(a, b, mapping, new) == \
+            brute_violated_tuple(a, b, mapping, new)
+        found += want is not None
+        rest = {x: y for x, y in mapping.items() if x != new}
+        if len(set(img)) == len(img) and is_partial_isomorphism(a, b, rest):
+            assert (violated_tuple(a, b, mapping, new) is None) == \
+                is_partial_isomorphism(a, b, mapping)
+    assert 0 < found < 400
 
 
 def test_canonical_form_invariance(p3):
