@@ -5,8 +5,12 @@ by memoized search. Two kinds of pruning keep desk-scale pairs tractable,
 both justified by automorphisms alone: candidate moves are restricted to
 orbit representatives under the stabilizer of the already-pebbled elements,
 and memo keys canonicalize pebble sequences under each structure's full
-automorphism group (up to CANON_LIMIT automorphisms). The test suite checks
-the search against an independent plain minimax in tests/oracles.py.
+automorphism group (up to CANON_LIMIT automorphisms). The stabilizer is a
+group, so an element represents its orbit when no member maps it lower.
+One reply test decides every move: a pebbled element must be answered by
+its partner, a fresh one by an unpebbled element that breaks no tuple
+through the new pair (`violated_tuple`). The test suite checks the orbits,
+the replies and the search against independent oracles in tests/oracles.py.
 
 The phased strategy is a stateful move generator: it pins the decomposition
 layers of the smaller structure, watches for threatening pairs, recovers
@@ -16,7 +20,7 @@ how the class partitions of the two structures line up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .equivalences import base_decomposition, classes_of
 from .errors import CapExceeded, FidError, InputError, UnsupportedPosition
@@ -29,21 +33,24 @@ DEFAULT_ROUND_CAP = 12
 CANON_LIMIT = 5000
 
 
-def _orbit_reps(n: int, stabilizer: list[tuple[int, ...]]) -> list[int]:
-    parent = list(range(n))
+def _orbit_reps(group: list[tuple[int, ...]]) -> list[int]:
+    """The least element of each orbit of a permutation group, ascending: e
+    is the least of its orbit exactly when no member maps it lower."""
+    return [e for e, images in enumerate(zip(*group)) if min(images) == e]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for perm in stabilizer:
-        for e in range(n):
-            a, b = find(e), find(perm[e])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return sorted({find(e) for e in range(n)})
+def _extend(seq1, seq2, side: int, elem: int, reply: int):
+    """The position after Spoiler pebbles `elem` in structure `side` and
+    Duplicator answers `reply` in the other."""
+    if side == 0:
+        return seq1 + (elem,), seq2 + (reply,)
+    return seq1 + (reply,), seq2 + (elem,)
+
+
+def _check(ok: bool, message: str):
+    """A self-audit of the phased strategy that also holds under python -O."""
+    if not ok:
+        raise FidError(message)
 
 
 class GameSolver:
@@ -59,29 +66,29 @@ class GameSolver:
 
     # -- position mechanics -------------------------------------------------
 
-    def extension_ok(self, seq1, seq2, a: int, b: int) -> bool:
-        """Equality pattern plus relation preservation for the new pair."""
-        for x, y in zip(seq1, seq2):
-            if (x == a) != (y == b):
-                return False
-        mapping = dict(zip(seq1, seq2))
-        mapping[a] = b
-        return violated_tuple(self.m1, self.m2, mapping, a) is None
+    def extension_ok(self, phi: dict[int, int], a: int, b: int) -> bool:
+        """Whether the partial isomorphism `phi` (m1 to m2) extended by a -> b
+        stays one; a is outside its domain and b outside its range."""
+        return violated_tuple(self.m1, self.m2, {**phi, a: b}, a) is None
 
     def legal_responses(self, seq1, seq2, side: int, elem: int) -> list[int]:
-        """All elements of the other structure keeping the position alive."""
-        if side == 0:
-            if elem in seq1:
-                forced = seq2[seq1.index(elem)]
-                return [forced] if self.extension_ok(seq1, seq2, elem, forced) else []
-            other_n = self.m2.order
-            return [w for w in range(other_n)
-                    if self.extension_ok(seq1, seq2, elem, w)]
-        if elem in seq2:
-            forced = seq1[seq2.index(elem)]
-            return [forced] if self.extension_ok(seq1, seq2, forced, elem) else []
-        return [w for w in range(self.m1.order)
-                if self.extension_ok(seq1, seq2, w, elem)]
+        """All elements of the other structure keeping the position alive:
+        the partner of a pebbled element, else every unpebbled element whose
+        pair with `elem` breaks no tuple through it. The pebble map runs from
+        Spoiler's structure to the other, so one test serves both sides."""
+        here, there = (self.m1, self.m2) if side == 0 else (self.m2, self.m1)
+        mapping = dict(zip(seq1, seq2) if side == 0 else zip(seq2, seq1))
+        if elem in mapping:
+            ok = violated_tuple(here, there, mapping, elem) is None
+            return [mapping[elem]] if ok else []
+        pebbled = set(mapping.values())
+        replies = []
+        for w in range(there.order):
+            if w not in pebbled:
+                mapping[elem] = w
+                if violated_tuple(here, there, mapping, elem) is None:
+                    replies.append(w)
+        return replies
 
     def _stab(self, aut, seq):
         return [p for p in aut if all(p[e] == e for e in seq)]
@@ -104,10 +111,9 @@ class GameSolver:
                     and switches >= budget:
                 continue
             new_switches = switches + (1 if last is not None and side != last else 0)
-            n_here = self.m1.order if side == 0 else self.m2.order
-            stab = stab1 if side == 0 else stab2
             seq = seq1 if side == 0 else seq2
-            candidates = [e for e in _orbit_reps(n_here, stab) if e not in seq]
+            candidates = [e for e in _orbit_reps(stab1 if side == 0 else stab2)
+                          if e not in seq]
             reps = None   # orbit representatives of the replying side
             for elem in candidates:
                 responses = self.legal_responses(seq1, seq2, side, elem)
@@ -117,10 +123,8 @@ class GameSolver:
                 if r == 1:
                     continue
                 if reps is None:
-                    reps = set(_orbit_reps(self.m2.order, stab2) if side == 0
-                               else _orbit_reps(self.m1.order, stab1))
-                replies = ((seq1 + (elem,), seq2 + (w,)) if side == 0
-                           else (seq1 + (w,), seq2 + (elem,))
+                    reps = set(_orbit_reps(stab2 if side == 0 else stab1))
+                replies = (_extend(seq1, seq2, side, elem, w)
                            for w in responses if w in reps)
                 if all(self._wins(ns1, ns2, self._stab(stab1, (ns1[-1],)),
                                   self._stab(stab2, (ns2[-1],)), side,
@@ -220,14 +224,11 @@ class OptimalDuplicator:
         self.horizon = horizon
 
     def respond(self, seq1, seq2, side: int, elem: int) -> int | None:
-        options = self.solver.legal_responses(seq1, seq2, side, elem)
-        if not options:
-            return None
+        seq1, seq2 = tuple(seq1), tuple(seq2)
         best_w, best_value = None, -1
-        for w in sorted(options):
-            ns1, ns2 = (tuple(seq1) + (elem,), tuple(seq2) + (w,)) if side == 0 \
-                else (tuple(seq1) + (w,), tuple(seq2) + (elem,))
-            value = self.solver.position_rank(ns1, ns2, self.horizon)
+        for w in self.solver.legal_responses(seq1, seq2, side, elem):
+            value = self.solver.position_rank(*_extend(seq1, seq2, side, elem, w),
+                                              self.horizon)
             score = self.horizon + 1 if value is None else value
             if score > best_value:
                 best_w, best_value = w, score
@@ -243,23 +244,20 @@ def play_out(spoiler, m1: Structure, m2: Structure,
     seq1: tuple[int, ...] = ()
     seq2: tuple[int, ...] = ()
     moves = []
-    sides = []
+    outcome, win_round = "duplicator", None
     for rnd in range(1, max_rounds + 1):
         side, elem = spoiler.next_move()
-        sides.append(side)
         response = dup.respond(seq1, seq2, side, elem)
         if response is None:
             moves.append((rnd, side, elem, -1))
-            alts = sum(1 for i in range(1, len(sides)) if sides[i] != sides[i - 1])
-            return Transcript(moves, "spoiler", rnd, alts)
+            outcome, win_round = "spoiler", rnd
+            break
         moves.append((rnd, side, elem, response))
-        if side == 0:
-            seq1, seq2 = seq1 + (elem,), seq2 + (response,)
-        else:
-            seq1, seq2 = seq1 + (response,), seq2 + (elem,)
+        seq1, seq2 = _extend(seq1, seq2, side, elem, response)
         spoiler.observe(side, elem, response)
-    alts = sum(1 for i in range(1, len(sides)) if sides[i] != sides[i - 1])
-    return Transcript(moves, "duplicator", None, alts)
+    alternations = sum(1 for before, after in zip(moves, moves[1:])
+                       if before[1] != after[1])
+    return Transcript(moves, outcome, win_round, alternations)
 
 
 class SolverSpoiler:
@@ -270,7 +268,6 @@ class SolverSpoiler:
         self.cap = cap
         self.seq1: tuple[int, ...] = ()
         self.seq2: tuple[int, ...] = ()
-        self.pending: tuple[int, int] | None = None
 
     def next_move(self):
         r = self.solver.position_rank(self.seq1, self.seq2, self.cap)
@@ -279,14 +276,10 @@ class SolverSpoiler:
         move = self.solver.winning_move(self.seq1, self.seq2, r)
         if move is None:
             raise FidError(f"solver spoiler: no winning move at the solved rank {r}")
-        self.pending = move
         return move
 
     def observe(self, side: int, elem: int, response: int):
-        if side == 0:
-            self.seq1, self.seq2 = self.seq1 + (elem,), self.seq2 + (response,)
-        else:
-            self.seq1, self.seq2 = self.seq1 + (response,), self.seq2 + (elem,)
+        self.seq1, self.seq2 = _extend(self.seq1, self.seq2, side, elem, response)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +289,7 @@ class SolverSpoiler:
 @dataclass
 class _Recovery:
     level: int
-    pair: tuple[int, int]
-    queue: list[tuple[int, int, int]] = field(default_factory=list)
-    # queue entries: (side, element, expected partner)
+    queue: list[tuple[int, int, int]]  # (side, element, expected partner)
 
 
 class PhasedSpoiler:
@@ -333,7 +324,6 @@ class PhasedSpoiler:
         self.recovery: _Recovery | None = None
         self.state = "naive" if self.n <= self.k + 1 else "phase1"
         self.part2_target: int | None = None
-        self.moves_made = 0
         if self.state == "phase1":
             self._enqueue_phase1()
         else:
@@ -341,15 +331,8 @@ class PhasedSpoiler:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _map1(self) -> dict[int, int]:
-        return dict(zip(self.seq1, self.seq2))
-
     def _layer(self, i: int) -> frozenset[int]:
         return self.decomp.x[i - 1]
-
-    def _layer_image(self, i: int) -> frozenset[int]:
-        phi = self.phis[i]
-        return frozenset(phi.values())
 
     def threat_level(self, a: int, b: int) -> int | None:
         """Smallest completed layer at which the pair sits outside both sides
@@ -358,7 +341,7 @@ class PhasedSpoiler:
             phi = self.phis[i]
             if a in phi or b in phi.values():
                 continue
-            if not self.solver.extension_ok(phi, phi.values(), a, b):
+            if not self.solver.extension_ok(phi, a, b):
                 return i
         return None
 
@@ -379,49 +362,57 @@ class PhasedSpoiler:
         moves.extend((0, e, None) for e in sorted(fresh))
         self.queue = moves
 
+    def _pair_classes(self, phi, classes1, classes2) -> dict:
+        """Greedy class pairing: each m1 class takes the first untaken m2
+        class whose least element extends `phi` together with its own."""
+        pairing: dict[tuple[int, ...], tuple[int, ...]] = {}
+        taken = set()
+        for cls in classes1:
+            partner = next((cand for cand in classes2 if cand not in taken
+                            and self.solver.extension_ok(phi, cls[0], cand[0])),
+                           None)
+            if partner is not None:
+                pairing[cls] = partner
+                taken.add(partner)
+        return pairing
+
     def _finish_phase(self, i: int):
         """Compute the layer-i partial isomorphism and check its structure."""
         if i == 1:
             phi = {a: b for a, b in zip(self.seq1, self.seq2) if a in self._layer(1)}
-            assert set(phi) == set(self._layer(1))
+            _check(set(phi) == set(self._layer(1)),
+                   "phase 1: the pebbles do not cover layer 1")
         else:
             prev = self.phis[i - 1]
             phi = dict(prev)
-            pebbled = self._map1()
+            pebbled = dict(zip(self.seq1, self.seq2))
             xj = self._layer(i - 1)
             x2j = frozenset(prev.values())
             small1 = classes_of(self.m1, xj, self.k + 1).classes \
                 if len(xj) < self.n else ()
             small2 = classes_of(self.m2, x2j, self.k + 1).classes \
                 if len(x2j) < self.m2.order else ()
-            matched2 = []
+            pairing = self._pair_classes(prev, small1, small2)
             for cls in small1:
-                rep = cls[0]
-                partner = None
-                for cls2 in small2:
-                    if cls2 in matched2:
-                        continue
-                    if self.solver.extension_ok(prev, prev.values(), rep, cls2[0]):
-                        partner = cls2
-                        break
-                assert partner is not None and len(partner) == len(cls), \
-                    "small-class correspondence failed despite quiet lookahead"
-                matched2.append(partner)
+                partner = pairing.get(cls, ())
+                _check(len(partner) == len(cls), f"phase {i}: small-class "
+                       "correspondence failed despite quiet lookahead")
                 image = [pebbled[e] for e in cls[:-1]]
-                assert all(b in partner for b in image), \
-                    "pebbled class members strayed from the partner class"
+                _check(all(b in partner for b in image), f"phase {i}: pebbled "
+                       "class members strayed from the partner class")
                 leftover = [b for b in partner if b not in image]
-                assert len(leftover) == 1
+                _check(len(leftover) == 1, f"phase {i}: the partner class "
+                       f"leaves {len(leftover)} members unpebbled, not 1")
                 for e in cls[:-1]:
                     phi[e] = pebbled[e]
                 phi[cls[-1]] = leftover[0]
             for a, b in pebbled.items():
                 if a in self._layer(i) and a not in phi:
                     phi[a] = b
-            assert set(phi) == set(self._layer(i)), \
-                (sorted(phi), sorted(self._layer(i)))
-            assert is_partial_isomorphism(self.m1, self.m2, phi), \
-                "layer extension is not a partial isomorphism"
+            _check(set(phi) == set(self._layer(i)), f"phase {i}: the layer map "
+                   f"covers {sorted(phi)}, not layer {sorted(self._layer(i))}")
+            _check(is_partial_isomorphism(self.m1, self.m2, phi),
+                   f"phase {i}: layer extension is not a partial isomorphism")
         self.phis.append(phi)
         self.completed = i
 
@@ -451,24 +442,14 @@ class PhasedSpoiler:
             for elem in range(n_here):
                 if elem in (seq1 if side == 0 else seq2):
                     continue
-                responses = self.solver.legal_responses(seq1, seq2, side, elem)
-                if not responses:
-                    return side, elem
-                ok = True
-                for w in responses:
-                    pair = (elem, w) if side == 0 else (w, elem)
-                    if self.threat_level(*pair) is not None:
-                        continue
-                    if depth <= 1:
-                        ok = False
+                for w in self.solver.legal_responses(seq1, seq2, side, elem):
+                    ns1, ns2 = _extend(seq1, seq2, side, elem, w)
+                    if self.threat_level(ns1[-1], ns2[-1]) is None and (
+                            depth <= 1 or self._force_threat_move(
+                                depth - 1, ns1, ns2, side,
+                                switched or side != last) is None):
                         break
-                    ns1, ns2 = (seq1 + (elem,), seq2 + (w,)) if side == 0 \
-                        else (seq1 + (w,), seq2 + (elem,))
-                    if self._force_threat_move(depth - 1, ns1, ns2, side,
-                                               switched or side != last) is None:
-                        ok = False
-                        break
-                if ok:
+                else:
                     return side, elem
         return None
 
@@ -491,7 +472,7 @@ class PhasedSpoiler:
                 queue.append((0, e, phi[e]))
             else:
                 queue.append((1, phi[e], e))
-        self.recovery = _Recovery(level, pair, queue)
+        self.recovery = _Recovery(level, queue)
         self.state = "recovery"
 
     # -- protocol ------------------------------------------------------------
@@ -499,37 +480,32 @@ class PhasedSpoiler:
     def next_move(self) -> tuple[int, int]:
         while True:
             if self.state == "recovery":
-                rec = self.recovery
-                if not rec.queue:
+                if not self.recovery.queue:
                     raise FidError("recovery exhausted without a win")
-                side, elem, _ = rec.queue[0]
-                self.moves_made += 1
-                return side, elem
+                return self.recovery.queue[0][:2]
             if self.queue:
-                side, elem, _ = self.queue[0]
-                self.moves_made += 1
-                return side, elem
+                return self.queue[0][:2]
             self._advance()
 
     def observe(self, side: int, elem: int, response: int):
-        pair = (elem, response) if side == 0 else (response, elem)
         if side != self.side_now:
             self.alternated = True
             self.side_now = side
+        self.seq1, self.seq2 = _extend(self.seq1, self.seq2, side, elem, response)
+        pair = (self.seq1[-1], self.seq2[-1])
         if self.state == "recovery":
             rec = self.recovery
             qside, qelem, expected = rec.queue.pop(0)
-            assert (qside, qelem) == (side, elem)
-            self._grow(side, elem, response)
+            _check((qside, qelem) == (side, elem), f"recovery: observed move "
+                   f"{(side, elem)} is not the queued {(qside, qelem)}")
             if response != expected:
                 level = self.threat_level(*pair)
-                assert level is not None and level < rec.level, \
-                    "recovery deviation did not lower the threat level"
+                _check(level is not None and level < rec.level,
+                       "recovery: deviation did not lower the threat level")
                 self._start_recovery(level, pair)
             return
         if self.queue and self.queue[0][:2] == (side, elem):
             self.queue.pop(0)
-        self._grow(side, elem, response)
         if self.state in ("phase1", "classes", "conclude", "forced-threat"):
             level = self.threat_level(*pair)
             if level is not None:
@@ -538,14 +514,6 @@ class PhasedSpoiler:
                 return
         if self.state == "forced-win":
             self.part2_target = max(1, self.part2_target - 1)
-
-    def _grow(self, side: int, elem: int, response: int):
-        if side == 0:
-            self.seq1 += (elem,)
-            self.seq2 += (response,)
-        else:
-            self.seq1 += (response,)
-            self.seq2 += (elem,)
 
     # -- state machine -------------------------------------------------------
 
@@ -583,9 +551,9 @@ class PhasedSpoiler:
                 self._enqueue_conclusion()
             return
         if self.state == "forced-win":
-            move = self.solver.winning_move(
-                self.seq1, self.seq2, self.part2_target,
-                budget=0 if self.alternated else 1, last=self.side_now)
+            budget, last = self._budget_state()
+            move = self.solver.winning_move(self.seq1, self.seq2, self.part2_target,
+                                            budget=budget, last=last)
             if move is None:
                 raise FidError("forced win evaporated")
             self.queue = [(move[0], move[1], None)]
@@ -613,21 +581,9 @@ class PhasedSpoiler:
         xk2 = frozenset(phi_k.values())
         cls1 = classes_of(self.m1, xk).classes if len(xk) < self.n else ()
         cls2 = classes_of(self.m2, xk2).classes if len(xk2) < self.m2.order else ()
-        pairing: dict[tuple[int, ...], tuple[int, ...]] = {}
-        taken = set()
-        for cls in cls1:
-            partner = None
-            for cand in cls2:
-                if cand in taken:
-                    continue
-                if self.solver.extension_ok(phi_k, phi_k.values(), cls[0], cand[0]):
-                    partner = cand
-                    break
-            if partner is not None:
-                pairing[cls] = partner
-                taken.add(partner)
+        pairing = self._pair_classes(phi_k, cls1, cls2)
         unmatched1 = [c for c in cls1 if c not in pairing]
-        unmatched2 = [c for c in cls2 if c not in taken]
+        unmatched2 = [c for c in cls2 if c not in pairing.values()]
 
         if unmatched1 or unmatched2:
             if unmatched1:
@@ -638,8 +594,8 @@ class PhasedSpoiler:
 
         useful = [c for c in cls1 if len(pairing[c]) != len(c)]
         if not useful:
-            assert self.n == self.m2.order, \
-                "perfect size-preserving pairing needs equal orders"
+            _check(self.n == self.m2.order, "conclusion: a perfect "
+                   "size-preserving pairing needs equal orders")
             self._enqueue_upsilon(pairing)
             return
         if len(useful) == 1 and self.n < self.m2.order:
@@ -664,7 +620,8 @@ class PhasedSpoiler:
             for src, dst in zip(sorted(partner), sorted(cls)):
                 if src not in back:
                     back[src] = dst
-        assert len(back) == self.m2.order, "upsilon extension is not total"
+        _check(len(back) == self.m2.order, "conclusion: the upsilon extension "
+               "is not total")
         found = violated_tuple(self.m2, self.m1, {e: back[e] for e in sorted(back)})
         if found is None:
             raise FidError("conclusion: class-respecting extension turned out "
@@ -672,4 +629,5 @@ class PhasedSpoiler:
         _, witness = found
         pebbled2 = set(self.seq2)
         self.queue = [(1, e, None) for e in sorted(set(witness) - pebbled2)]
-        assert self.queue, "concluding witness already fully pebbled"
+        _check(bool(self.queue), "conclusion: the concluding witness is already "
+               "fully pebbled")

@@ -31,10 +31,6 @@ def sigma(struct: Structure) -> tuple[int, tuple[int, ...]]:
     return best, witness
 
 
-def is_irredundant(struct: Structure) -> bool:
-    return sigma(struct)[0] == 1
-
-
 @dataclass(frozen=True)
 class DeltaWitness:
     value: int

@@ -124,21 +124,6 @@ def guard_nodes(estimate: int, ceiling: int = DEFAULT_NODE_CEILING):
             f"formula would need about {estimate} nodes, ceiling is {ceiling}")
 
 
-def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Rel):
-        return frozenset(phi.args)
-    if isinstance(phi, Eq):
-        return frozenset((phi.left, phi.right))
-    if isinstance(phi, Not):
-        return free_vars(phi.child)
-    if isinstance(phi, (And, Or)):
-        out = frozenset()
-        for child in phi.children:
-            out |= free_vars(child)
-        return out
-    return free_vars(phi.body) - {phi.var}
-
-
 # ---------------------------------------------------------------------------
 # Metrics: quantifier rank, alternation number, prefix class.
 # ---------------------------------------------------------------------------

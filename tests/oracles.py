@@ -170,6 +170,40 @@ def burnside_count(vocab: Vocabulary, n: int, graph_mode: bool) -> int:
 # Plain game minimax.
 # ---------------------------------------------------------------------------
 
+def brute_orbits(group, n: int) -> list[tuple[int, ...]]:
+    """The orbits of the permutations `group` on range(n), each sorted, by
+    closing every element under every permutation."""
+    orbits, seen = [], set()
+    for e in range(n):
+        if e in seen:
+            continue
+        orbit, frontier = {e}, [e]
+        while frontier:
+            x = frontier.pop()
+            for perm in group:
+                if perm[x] not in orbit:
+                    orbit.add(perm[x])
+                    frontier.append(perm[x])
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def brute_legal_responses(a: Structure, b: Structure, seq1, seq2, side: int,
+                          elem: int) -> list[int]:
+    """Every reply in the other structure to `elem` in structure `side` after
+    which the pebbled pairs keep their equality pattern and map every tuple
+    through the new pair to one of the same truth value."""
+    replies = []
+    for reply in range((b.order, a.order)[side]):
+        x, y = (elem, reply) if side == 0 else (reply, elem)
+        if any((u == x) != (v == y) for u, v in zip(seq1, seq2)):
+            continue
+        if brute_violated_tuple(a, b, dict(zip(seq1 + (x,), seq2 + (y,))), x) is None:
+            replies.append(reply)
+    return replies
+
+
 def _brute_minimax(a: Structure, b: Structure, budget):
     """(wins, move_wins): wins(seq1, seq2, last, switches, r) says Spoiler
     forces a win within r rounds; move_wins(..., side, elem, r) says the move
@@ -180,22 +214,14 @@ def _brute_minimax(a: Structure, b: Structure, budget):
     sizes = (a.order, b.order)
     counted = budget is not None
 
-    def legal(seq1, seq2, x, y) -> bool:
-        """Adding the pair (x, y) keeps the pebbled map a partial isomorphism."""
-        if any((u == x) != (v == y) for u, v in zip(seq1, seq2)):
-            return False
-        pairs = dict(zip(seq1 + (x,), seq2 + (y,)))
-        return brute_violated_tuple(a, b, pairs, x) is None
-
     def move_wins(seq1, seq2, last, switches, side, elem, r) -> bool:
         switched = last is not None and side != last
         if switched and counted and switches >= budget:
             return False
-        for reply in range(sizes[1 - side]):
+        for reply in brute_legal_responses(a, b, seq1, seq2, side, elem):
             x, y = (elem, reply) if side == 0 else (reply, elem)
-            if legal(seq1, seq2, x, y) and not wins(
-                    seq1 + (x,), seq2 + (y,), side if counted else None,
-                    switches + switched if counted else 0, r - 1):
+            if not wins(seq1 + (x,), seq2 + (y,), side if counted else None,
+                        switches + switched if counted else 0, r - 1):
                 return False
         return True
 

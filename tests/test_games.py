@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -6,14 +7,17 @@ import pytest
 from fractions import Fraction
 
 from conftest import graph
-from oracles import brute_game_rank, brute_winning_move, game_rank_via_formulas
+from oracles import (brute_game_rank, brute_legal_responses, brute_orbits,
+                     brute_winning_move, game_rank_via_formulas)
 
 from fid.errors import FidError, InputError
-from fid.structures import GRAPH_VOCAB, Structure, enumerate_structures, relabel
+from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary,
+                            enumerate_structures, relabel)
 from fid.invariants import game_budget, gen_mfmg
 from fid.games import (GameSolver, OptimalDuplicator, PhasedSpoiler,
-                       SolverSpoiler, automorphisms, distinguishing_rank,
-                       distinguishing_rank_alt, identification_rank, play_out)
+                       SolverSpoiler, _orbit_reps, automorphisms,
+                       distinguishing_rank, distinguishing_rank_alt,
+                       identification_rank, play_out)
 
 
 def graphs(order):
@@ -49,7 +53,6 @@ def test_rank_unequal_orders(k5):
 
 
 def test_vocabulary_mismatch(p3):
-    from fid.structures import Vocabulary
     other = Structure(Vocabulary((("R", 2),)), 3, [set()])
     with pytest.raises(InputError):
         distinguishing_rank(p3, other)
@@ -108,7 +111,6 @@ def test_identification_rank(edge2):
 def test_identification_rank_unary():
     # two marked of three: the one-marked rival needs two rounds, the
     # all-or-nothing rivals fall in one
-    from fid.structures import Vocabulary
     unary = Vocabulary((("P", 1),))
     struct = Structure(unary, 3, [{(0,), (1,)}])
     assert identification_rank(struct) == 2
@@ -212,30 +214,110 @@ def test_winning_move_matches_oracle():
             assert move == brute_winning_move(a, b, value, budget)
 
 
-def test_pinned_transcripts():
-    """Move choice and recovery witnesses are pinned: a SHA-256 over the
-    moves of the phased transcripts of C9, the mfmg(2) pair and P3/P4, and
-    of the solver Spoiler on every pair of graphs of order <= 4."""
-    digest = hashlib.sha256()
-
-    def add(spoiler, a, b, max_rounds):
-        digest.update(repr(play_out(spoiler, a, b, max_rounds).moves).encode())
-
-    for a, b in itertools.combinations(graphs(4), 2):
-        add(PhasedSpoiler(a, b), a, b, 10)
+@functools.lru_cache(maxsize=None)
+def _pinned_transcripts():
+    """The phased transcripts of C9, the mfmg(2) pair and P3/P4, and those
+    of the solver Spoiler on every pair of graphs of order <= 4, in order."""
+    games = [(PhasedSpoiler(a, b), a, b, 10)
+             for a, b in itertools.combinations(graphs(4), 2)]
     fives = graphs(5)
     rng = random.Random(909)
     for i, j in rng.sample(list(itertools.combinations(range(len(fives)), 2)), 20):
-        add(PhasedSpoiler(fives[i], fives[j]), fives[i], fives[j], 10)
+        games.append((PhasedSpoiler(fives[i], fives[j]), fives[i], fives[j], 10))
     a, b = gen_mfmg(2)
-    add(PhasedSpoiler(a, b), a, b, 12)
+    games.append((PhasedSpoiler(a, b), a, b, 12))
     p3, p4 = graph(3, [(0, 1), (1, 2)]), graph(4, [(0, 1), (1, 2), (2, 3)])
-    add(PhasedSpoiler(p3, p4), p3, p4, 10)
+    games.append((PhasedSpoiler(p3, p4), p3, p4, 10))
     small = [s for order in range(1, 5) for s in graphs(order)]
-    for a, b in itertools.combinations(small, 2):
-        add(SolverSpoiler(a, b), a, b, 8)
+    games.extend((SolverSpoiler(a, b), a, b, 8)
+                 for a, b in itertools.combinations(small, 2))
+    return [play_out(*game) for game in games]
+
+
+def test_pinned_transcripts():
+    """Move choice and recovery witnesses are pinned: a SHA-256 over the
+    moves of the pinned transcripts."""
+    digest = hashlib.sha256()
+    for transcript in _pinned_transcripts():
+        digest.update(repr(transcript.moves).encode())
     assert digest.hexdigest() == \
         "2732049e2ef27d33e94abd425e0485b36b637c14cfea79114c8bd1a451943b6c"
+
+
+def test_pinned_transcript_results():
+    """What `play_out` returns besides the moves is pinned too: a SHA-256
+    over (outcome, win_round, alternations) of the pinned transcripts. A
+    zero-round game is a Duplicator win with no moves."""
+    digest = hashlib.sha256()
+    for t in _pinned_transcripts():
+        digest.update(repr((t.outcome, t.win_round, t.alternations)).encode())
+    assert digest.hexdigest() == \
+        "5c8a3bd1e0804cb9db368f6733eede0a7d7c170923fe54176726b91e7f1ec750"
+    k3, p3 = graph(3, [(0, 1), (1, 2), (0, 2)]), graph(3, [(0, 1), (1, 2)])
+    empty = play_out(SolverSpoiler(k3, p3), k3, p3, max_rounds=0)
+    assert (empty.moves, empty.outcome, empty.win_round, empty.alternations) \
+        == ([], "duplicator", None, 0)
+
+
+def test_orbit_reps_match_closure():
+    """The orbit minima of the pointwise stabilizer of every tuple of length
+    <= 2 are the least elements of the orbits found by closure, on every
+    graph of order <= 5 and every order-3 digraph."""
+    digraphs3 = list(enumerate_structures(Vocabulary((("E", 2),)), 3))
+    for struct in [s for order in range(1, 6) for s in graphs(order)] + digraphs3:
+        group = automorphisms(struct)
+        n = struct.order
+        for length in range(3):
+            for tup in itertools.product(range(n), repeat=length):
+                stab = [p for p in group if all(p[e] == e for e in tup)]
+                assert _orbit_reps(stab) == \
+                    [min(orbit) for orbit in brute_orbits(stab, n)]
+
+
+def _live_positions(a, b, length):
+    """Every position of at most `length` rounds reachable by legal replies."""
+    level = [((), ())]
+    for _ in range(length + 1):
+        yield from level
+        level = [(seq1 + (x,), seq2 + (y,))
+                 for seq1, seq2 in level for side in (0, 1)
+                 for elem in range((a.order, b.order)[side])
+                 for reply in brute_legal_responses(a, b, seq1, seq2, side, elem)
+                 for x, y in [(elem, reply) if side == 0 else (reply, elem)]]
+
+
+def test_legal_responses_match_oracle():
+    """`legal_responses` agrees with the pattern-and-tuple oracle for both
+    sides and every element, pebbled or fresh, in every live position of
+    length <= 2: on every pair of graphs of order <= 3 and on a seeded
+    sample of order-3 digraph pairs."""
+    small = [s for order in range(1, 4) for s in graphs(order)]
+    digraphs3 = list(enumerate_structures(Vocabulary((("E", 2),)), 3))
+    pairs = list(itertools.product(small, repeat=2)) \
+        + random.Random(11).sample(list(itertools.product(digraphs3, repeat=2)), 40)
+    for a, b in pairs:
+        solver = GameSolver(a, b)
+        for seq1, seq2 in set(_live_positions(a, b, 2)):
+            for side in (0, 1):
+                for elem in range((a.order, b.order)[side]):
+                    assert solver.legal_responses(seq1, seq2, side, elem) == \
+                        brute_legal_responses(a, b, seq1, seq2, side, elem)
+
+
+def test_phase_audit_raises_fid_error():
+    """A failing self-audit of the phased strategy raises FidError naming its
+    stage, under `python -O` too: with every pair refused once layer 1 and
+    the first class phase are played, no small class finds a partner."""
+    a, b = graph(4, [(0, 1)]), graph(4, [(0, 1), (0, 2)])
+    spoiler = PhasedSpoiler(a, b)
+    dup = OptimalDuplicator(GameSolver(a, b), 10)
+    while not (spoiler.state == "classes" and not spoiler.queue):
+        side, elem = spoiler.next_move()
+        spoiler.observe(side, elem,
+                        dup.respond(spoiler.seq1, spoiler.seq2, side, elem))
+    spoiler.solver.extension_ok = lambda *args: False
+    with pytest.raises(FidError, match="phase 2: small-class correspondence"):
+        spoiler._finish_phase(2)
 
 
 def test_recovery_without_violated_tuple_raises():
