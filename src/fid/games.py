@@ -1,16 +1,22 @@
 """Exact Ehrenfeucht game solving and the phased Spoiler strategy.
 
-The solver computes exact minimax game values (plain and switch-budgeted)
-by memoized search. Two kinds of pruning keep desk-scale pairs tractable,
-both justified by automorphisms alone: candidate moves are restricted to
-orbit representatives under the stabilizer of the already-pebbled elements,
-and memo keys canonicalize pebble sequences under each structure's full
+Plain game values come from rank-r types: the pebble tuples of both
+structures are hash-consed bottom-up into one table of ints, and the value
+is the least rank at which the two sides' types differ; no automorphism
+group is listed. The minimax solver computes the switch-budgeted values (a
+one-sided game is a preorder, not an equivalence that types could intern),
+the phased Spoiler's lookahead and every winning move. It searches by
+memoization, and two kinds of pruning keep desk-scale pairs tractable, both
+justified by automorphisms alone: candidate moves are restricted to orbit
+representatives under the stabilizer of the already-pebbled elements, and
+memo keys canonicalize pebble sequences under each structure's full
 automorphism group (up to CANON_LIMIT automorphisms). The stabilizer is a
 group, so an element represents its orbit when no member maps it lower.
 One reply test decides every move: a pebbled element must be answered by
 its partner, a fresh one by an unpebbled element that breaks no tuple
 through the new pair (`violated_tuple`). The test suite checks the orbits,
-the replies and the search against independent oracles in tests/oracles.py.
+the replies, the search and the types against each other and against
+independent oracles in tests/oracles.py.
 
 The phased strategy is a stateful move generator: it pins the decomposition
 layers of the smaller structure, watches for threatening pairs, recovers
@@ -20,13 +26,16 @@ how the class partitions of the two structures line up.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .equivalences import base_decomposition, classes_of
 from .errors import CapExceeded, FidError, InputError, UnsupportedPosition
 from .structures import (Structure, _mask_of, automorphisms, canonical_key,
                          enumerate_structures, is_partial_isomorphism,
-                         violated_tuple)
+                         isomorphic, violated_tuple)
 
 DEFAULT_ROUND_CAP = 12
 # Memo keys are canonicalized under automorphism groups up to this size.
@@ -53,6 +62,87 @@ def _check(ok: bool, message: str):
         raise FidError(message)
 
 
+class _TypeTable:
+    """Rank-r types of pebble tuples over one vocabulary, interned to ints
+    that every structure the table sees shares:
+
+    - type_0(s + (a,)) = (type_0(s), the truth of every symbol on the
+      position tuples of s + (a,) that use its last position);
+    - type_r(s) = (type_0(s), the set of type_{r-1}(s + (a,)), a unpebbled).
+
+    Duplicator survives r rounds from a live position exactly when its two
+    tuples have equal rank-r types (Ehrenfeucht-Fraisse; Libkin, Elements of
+    Finite Model Theory, ch. 3). Pebbling a pebbled element adds nothing,
+    since type_r determines type_{r-1}, so a live position that repeats a
+    pebble is typed like the one without the repeat. Level 1 keeps the
+    children's atoms in place of their type_0: with the parent's type_0
+    they determine it. Each structure's memo is keyed by the structure
+    and dropped by `forget`."""
+
+    def __init__(self, vocab):
+        self._vocab = vocab
+        self._ids: dict = {}
+        self._memos: dict[Structure, list[dict]] = {}
+        self._getters: list[tuple] = []   # per last position k
+
+    def _intern(self, key) -> int:
+        # Ids start at 1: `_type` reads a falsy memo lookup as a miss.
+        return self._ids.setdefault(key, len(self._ids) + 1)
+
+    def _atoms(self, tables, seq: tuple) -> tuple[bool, ...]:
+        k = len(seq) - 1
+        while len(self._getters) <= k:
+            j = len(self._getters)
+            self._getters.append(tuple(
+                (idx, itemgetter(*tup) if arity > 1 else itemgetter(slice(j, j + 1)))
+                for idx, (_, arity) in enumerate(self._vocab.symbols)
+                for tup in itertools.product(range(j + 1), repeat=arity) if j in tup))
+        return tuple(get(seq) in tables[idx] for idx, get in self._getters[k])
+
+    def _zero(self, tables, zero: dict, seq: tuple) -> int:
+        found = zero.get(seq)
+        if found is None:
+            found = zero[seq] = self._intern(
+                (self._zero(tables, zero, seq[:-1]), self._atoms(tables, seq)))
+        return found
+
+    def _type(self, struct: Structure, levels: list[dict], seq: tuple, r: int) -> int:
+        level = levels[r]
+        found = level.get(seq)
+        if found is None:
+            tables = struct.tables
+            fresh = [seq + (a,) for a in range(struct.order) if a not in seq]
+            if r == 1:
+                kids = frozenset(self._atoms(tables, child) for child in fresh)
+            else:
+                below = levels[r - 1]
+                kids = frozenset(below.get(child) or
+                                 self._type(struct, levels, child, r - 1)
+                                 for child in fresh)
+            found = level[seq] = self._intern(
+                (self._zero(tables, levels[0], seq), kids))
+        return found
+
+    def type_of(self, struct: Structure, seq: tuple, r: int) -> int:
+        """The rank-r type of `seq` in `struct`, for r >= 1."""
+        levels = self._memos.get(struct)
+        if levels is None:
+            levels = self._memos[struct] = [{(): self._intern(())}]
+        levels.extend({} for _ in range(r + 1 - len(levels)))
+        return self._type(struct, levels, seq, r)
+
+    def rank(self, m1: Structure, seq1: tuple, m2: Structure, seq2: tuple,
+             cap: int) -> int | None:
+        """The least r in 1..cap at which the two tuples' types differ, or
+        None."""
+        return next((r for r in range(1, cap + 1)
+                     if self.type_of(m1, seq1, r) != self.type_of(m2, seq2, r)),
+                    None)
+
+    def forget(self, struct: Structure):
+        self._memos.pop(struct, None)
+
+
 class GameSolver:
     """Exact game values for one structure pair, with shared memoization."""
 
@@ -60,9 +150,18 @@ class GameSolver:
         if m1.vocab != m2.vocab:
             raise InputError("game needs structures over the same vocabulary")
         self.m1, self.m2 = m1, m2
-        self.aut1 = automorphisms(m1)
-        self.aut2 = automorphisms(m2)
         self._memo: dict = {}
+        self._types = _TypeTable(m1.vocab)
+
+    # The minimax alone needs the automorphism groups: plain values come
+    # from types, which never list them.
+    @cached_property
+    def aut1(self) -> list[tuple[int, ...]]:
+        return automorphisms(self.m1)
+
+    @cached_property
+    def aut2(self) -> list[tuple[int, ...]]:
+        return automorphisms(self.m2)
 
     # -- position mechanics -------------------------------------------------
 
@@ -112,8 +211,8 @@ class GameSolver:
                 continue
             new_switches = switches + (1 if last is not None and side != last else 0)
             seq = seq1 if side == 0 else seq2
-            candidates = [e for e in _orbit_reps(stab1 if side == 0 else stab2)
-                          if e not in seq]
+            here, there = (stab1, stab2) if side == 0 else (stab2, stab1)
+            candidates = [e for e in _orbit_reps(here) if e not in seq]
             reps = None   # orbit representatives of the replying side
             for elem in candidates:
                 responses = self.legal_responses(seq1, seq2, side, elem)
@@ -123,13 +222,20 @@ class GameSolver:
                 if r == 1:
                     continue
                 if reps is None:
-                    reps = set(_orbit_reps(stab2 if side == 0 else stab1))
-                replies = (_extend(seq1, seq2, side, elem, w)
-                           for w in responses if w in reps)
-                if all(self._wins(ns1, ns2, self._stab(stab1, (ns1[-1],)),
-                                  self._stab(stab2, (ns2[-1],)), side,
-                                  new_switches, budget, r - 1)
-                       for ns1, ns2 in replies):
+                    reps = set(_orbit_reps(there))
+                # Spoiler's new pebble, and so its stabilizer, is the same
+                # for every reply.
+                moved = self._stab(here, (elem,))
+                for w in responses:
+                    if w not in reps:
+                        continue
+                    replied = self._stab(there, (w,))
+                    if not self._wins(*_extend(seq1, seq2, side, elem, w),
+                                      *((moved, replied) if side == 0
+                                        else (replied, moved)),
+                                      side, new_switches, budget, r - 1):
+                        break
+                else:
                     yield side, elem
 
     def _wins(self, seq1, seq2, stab1, stab2, last, switches, budget, r) -> bool:
@@ -146,8 +252,11 @@ class GameSolver:
 
     def position_rank(self, seq1, seq2, cap: int, budget: int | None = None,
                       last: int | None = None, switches: int = 0) -> int | None:
-        """Minimum number of further rounds Spoiler needs, or None beyond cap."""
+        """Minimum number of further rounds Spoiler needs, or None beyond cap.
+        Without a budget, the value of a live position comes from types."""
         seq1, seq2 = tuple(seq1), tuple(seq2)
+        if budget is None:
+            return self._types.rank(self.m1, seq1, self.m2, seq2, cap)
         stab1 = self._stab(self.aut1, seq1)
         stab2 = self._stab(self.aut2, seq2)
         for r in range(1, cap + 1):
@@ -167,8 +276,12 @@ class GameSolver:
 def distinguishing_rank(m1: Structure, m2: Structure,
                         max_rounds: int = DEFAULT_ROUND_CAP) -> int | None:
     """Exact game value: minimum rounds in which Spoiler can force a win.
-    None when the cap is exhausted (in particular for isomorphic inputs)."""
-    return GameSolver(m1, m2).position_rank((), (), max_rounds)
+    None when the cap is exhausted, and at once for isomorphic inputs, whose
+    types agree at every rank."""
+    solver = GameSolver(m1, m2)
+    if isomorphic(m1, m2):
+        return None
+    return solver.position_rank((), (), max_rounds)
 
 
 def distinguishing_rank_alt(m1: Structure, m2: Structure, alternations: int,
@@ -190,12 +303,17 @@ def identification_rank(struct: Structure, alternations: int | None = None,
         raise InputError("alternation budget must be non-negative")
     cap = max_rounds if max_rounds is not None else struct.order + 1
     own = canonical_key(struct, graph_mode)
+    types = _TypeTable(struct.vocab)   # struct's types serve every rival
     worst = 0
     for rival in enumerate_structures(struct.vocab, struct.order, graph_mode):
         if _mask_of(rival, graph_mode) == own:
             continue
-        solver = GameSolver(struct, rival)
-        value = solver.position_rank((), (), cap, budget=alternations)
+        if alternations is None:
+            value = types.rank(struct, (), rival, (), cap)
+            types.forget(rival)
+        else:
+            value = GameSolver(struct, rival).position_rank(
+                (), (), cap, budget=alternations)
         if value is None:
             raise CapExceeded(
                 f"round cap {cap} exhausted against a non-isomorphic rival")

@@ -249,7 +249,7 @@ def isomorphisms(a: Structure, b: Structure):
         return
     n = a.order
     prof_a = [_profile(a, v) for v in range(n)]
-    prof_b = [_profile(b, v) for v in range(n)]
+    prof_b = prof_a if b is a else [_profile(b, v) for v in range(n)]
     if sorted(prof_a) != sorted(prof_b):
         return
     images = [[img for img in range(n) if prof_b[img] == prof_a[src]]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fid.games
 from fid.cli import main
 from fid.games import identification_rank
 from fid.structures import (GRAPH_VOCAB, enumerate_structures, format_fos,
@@ -143,6 +144,41 @@ def test_negative_integer_flags_exit_2(argv, message, k3_file, p3_file, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and not captured.out
+
+
+def test_game_isomorphic_order8(tmp_path, monkeypatch, capsys):
+    """Isomorphic inputs are settled by one isomorphism search: no rank-r
+    type is built (unguarded types on the 8-cycle take seconds and hundreds
+    of MB at the default 12 rounds)."""
+    def refuse(*args):
+        raise AssertionError("isomorphic inputs built a type")
+    monkeypatch.setattr(fid.games._TypeTable, "type_of", refuse)
+    cycle = [(i, (i + 1) % 8) for i in range(8)]
+    perm = (3, 7, 1, 5, 0, 2, 6, 4)
+    paths = []
+    for name, edges in (("c8", cycle), ("c8r", [(perm[x], perm[y]) for x, y in cycle])):
+        path = tmp_path / f"{name}.fos"
+        path.write_text("vocab E/2\norder 8\ngraph\n"
+                        + "".join(f"E {x} {y}\n" for x, y in edges))
+        paths.append(str(path))
+    assert main(["game", *paths]) == 0
+    assert capsys.readouterr().out.strip() == "D unresolved within 12 rounds"
+
+
+def test_plain_values_list_no_automorphisms(tmp_path, monkeypatch, p3_file, capsys):
+    """`fid game` and plain `fid rank` come from types and never list an
+    automorphism group: the order-8 empty graph against one edge needs
+    1 + 8 + 56 tuples per side, not 8! permutations."""
+    def refuse(struct):
+        raise AssertionError("a plain value listed automorphisms")
+    monkeypatch.setattr(fid.games, "automorphisms", refuse)
+    empty, edge = tmp_path / "e8.fos", tmp_path / "k2.fos"
+    empty.write_text("vocab E/2\norder 8\ngraph\n")
+    edge.write_text("vocab E/2\norder 8\ngraph\nE 0 1\n")
+    assert main(["game", str(empty), str(edge)]) == 0
+    assert capsys.readouterr().out.strip() == "D = 2"
+    assert main(["rank", p3_file]) == 0
+    assert capsys.readouterr().out.strip() == "I = 2"
 
 
 def test_rank(p3_file, capsys):

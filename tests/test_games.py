@@ -5,10 +5,13 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph
 from oracles import (brute_game_rank, brute_legal_responses, brute_orbits,
-                     brute_winning_move, game_rank_via_formulas)
+                     brute_winning_move, game_rank_via_formulas, random_graph,
+                     random_structure)
 
 from fid.errors import FidError, InputError
 from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary,
@@ -75,8 +78,62 @@ def test_reduced_matches_unreduced_small():
                 assert fast == brute_game_rank(a, b, 6, budget)
 
 
+def test_types_match_brute_force():
+    """Plain values by types equal the unreduced minimax on every pair of
+    graphs of order <= 4, of order-2 digraphs and of order-2 `P/1 E/2`
+    structures, isomorphic pairs included (both give None), and on 80
+    seeded pairs of order-2 `P/1 T/3` structures."""
+    small = [s for order in range(1, 5) for s in graphs(order)]
+    mixed = Vocabulary((("P", 1), ("E", 2)))
+    pairs = [pair for pool in (small, list(enumerate_structures(GRAPH_VOCAB, 2)),
+                               list(enumerate_structures(mixed, 2)))
+             for pair in itertools.combinations_with_replacement(pool, 2)]
+    ternary = list(enumerate_structures(Vocabulary((("P", 1), ("T", 3))), 2))
+    pairs += random.Random(4).sample(list(itertools.product(ternary, repeat=2)), 80)
+    for a, b in pairs:
+        assert GameSolver(a, b).position_rank((), (), 5) == brute_game_rank(a, b, 5)
+
+
+def test_types_match_minimax():
+    """Plain values by types equal the minimax with a budget of cap
+    switches, which cap rounds cannot exhaust: on every same-order pair of
+    order-5 graphs, 300 seeded order-3 digraph pairs, and every live position
+    of length <= 2, repeated pebbles included, on graphs of order <= 4."""
+    digraphs3 = list(enumerate_structures(GRAPH_VOCAB, 3))
+    pairs = list(itertools.combinations(graphs(5), 2)) + random.Random(8).sample(
+        list(itertools.product(digraphs3, repeat=2)), 300)
+    for a, b in pairs:
+        solver = GameSolver(a, b)
+        assert solver.position_rank((), (), 6) == \
+            solver.position_rank((), (), 6, budget=6)
+    small = [s for order in range(1, 5) for s in graphs(order)]
+    repeated = 0
+    for a, b in itertools.combinations_with_replacement(small, 2):
+        solver = GameSolver(a, b)
+        for seq1, seq2 in set(_live_positions(a, b, 2, solver.legal_responses)):
+            repeated += len(set(seq1)) < len(seq1)
+            assert solver.position_rank(seq1, seq2, 5) == \
+                solver.position_rank(seq1, seq2, 5, budget=5)
+    assert repeated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_distinguishing_rank_symmetric_and_label_free(n1, n2, loops, rng):
+    """D(a, b) = D(b, a), and relabelling either side leaves it unchanged."""
+    def make(n):
+        return random_structure(GRAPH_VOCAB, n, rng) if loops else random_graph(n, rng)
+    a, b = make(n1), make(n2)
+    value = distinguishing_rank(a, b, 6)
+    assert distinguishing_rank(b, a, 6) == value
+    assert distinguishing_rank(relabel(a, rng.sample(range(n1), n1)), b, 6) == value
+    assert distinguishing_rank(a, relabel(b, rng.sample(range(n2), n2)), 6) == value
+
+
 def test_solver_matches_characteristic_formulas():
-    """Game value == least rank whose characteristic formula distinguishes."""
+    """Game value (by types) == least rank whose characteristic formula
+    distinguishes."""
     small = graphs(2) + graphs(3)
     for a, b in itertools.combinations(small, 2):
         if a.order != b.order:
@@ -274,15 +331,16 @@ def test_orbit_reps_match_closure():
                     [min(orbit) for orbit in brute_orbits(stab, n)]
 
 
-def _live_positions(a, b, length):
-    """Every position of at most `length` rounds reachable by legal replies."""
+def _live_positions(a, b, length, replies):
+    """Every position of at most `length` rounds reachable by the legal
+    replies `replies(seq1, seq2, side, elem)`, pebbled elements included."""
     level = [((), ())]
     for _ in range(length + 1):
         yield from level
         level = [(seq1 + (x,), seq2 + (y,))
                  for seq1, seq2 in level for side in (0, 1)
                  for elem in range((a.order, b.order)[side])
-                 for reply in brute_legal_responses(a, b, seq1, seq2, side, elem)
+                 for reply in replies(seq1, seq2, side, elem)
                  for x, y in [(elem, reply) if side == 0 else (reply, elem)]]
 
 
@@ -297,7 +355,8 @@ def test_legal_responses_match_oracle():
         + random.Random(11).sample(list(itertools.product(digraphs3, repeat=2)), 40)
     for a, b in pairs:
         solver = GameSolver(a, b)
-        for seq1, seq2 in set(_live_positions(a, b, 2)):
+        replies = functools.partial(brute_legal_responses, a, b)
+        for seq1, seq2 in set(_live_positions(a, b, 2, replies)):
             for side in (0, 1):
                 for elem in range((a.order, b.order)[side]):
                     assert solver.legal_responses(seq1, seq2, side, elem) == \
