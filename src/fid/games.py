@@ -1,22 +1,22 @@
 """Exact Ehrenfeucht game solving and the phased Spoiler strategy.
 
-Plain game values come from rank-r types: the pebble tuples of both
-structures are hash-consed bottom-up into one table of ints, and the value
-is the least rank at which the two sides' types differ; no automorphism
-group is listed. The minimax solver computes the switch-budgeted values (a
-one-sided game is a preorder, not an equivalence that types could intern),
-the phased Spoiler's lookahead and every winning move. It searches by
-memoization, and two kinds of pruning keep desk-scale pairs tractable, both
-justified by automorphisms alone: candidate moves are restricted to orbit
-representatives under the stabilizer of the already-pebbled elements, and
-memo keys canonicalize pebble sequences under each structure's full
-automorphism group (up to CANON_LIMIT automorphisms). The stabilizer is a
-group, so an element represents its orbit when no member maps it lower.
-One reply test decides every move: a pebbled element must be answered by
-its partner, a fresh one by an unpebbled element that breaks no tuple
-through the new pair (`violated_tuple`). The test suite checks the orbits,
-the replies, the search and the types against each other and against
-independent oracles in tests/oracles.py.
+Every game value comes from rank-r types: the pebble tuples of both
+structures are hash-consed bottom-up into one table of ints, and no
+automorphism group is listed. A plain value is the least rank at which the
+two sides' types differ. A switch-budgeted value (and every winning move)
+comes from a memoized minimax that runs on pairs of type ids instead of
+pebble sequences: Spoiler picks a child type on one side, and Duplicator's
+replies are the other side's child types with the same type_0. A pair of
+type ids is a sound memo key, because the outcome from a live position is
+a function of the two tuples' types, the side played last, the switches
+spent and the rounds left: a type holds its own type_0 and the set of its
+children's types, which is all the recursion reads. Equal types are a
+finer collapse than orbits under automorphisms, and the memo is shared by
+every rival of one `identification_rank` call. One reply test decides
+every move on elements: a pebbled element must be answered by its partner,
+a fresh one by an unpebbled element that breaks no tuple through the new
+pair (`violated_tuple`). The test suite checks the replies, the values and
+the winning moves against independent oracles in tests/oracles.py.
 
 The phased strategy is a stateful move generator: it pins the decomposition
 layers of the smaller structure, watches for threatening pairs, recovers
@@ -28,24 +28,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .equivalences import base_decomposition, classes_of
 from .errors import CapExceeded, FidError, InputError, UnsupportedPosition
-from .structures import (Structure, _mask_of, automorphisms, canonical_key,
+from .structures import (Structure, _mask_of, canonical_key,
                          enumerate_structures, is_partial_isomorphism,
                          isomorphic, violated_tuple)
+# bench/tracing.py wraps this name; a missing one marks a traced run incorrect.
+from .structures import automorphisms  # noqa: F401
 
 DEFAULT_ROUND_CAP = 12
-# Memo keys are canonicalized under automorphism groups up to this size.
-CANON_LIMIT = 5000
-
-
-def _orbit_reps(group: list[tuple[int, ...]]) -> list[int]:
-    """The least element of each orbit of a permutation group, ascending: e
-    is the least of its orbit exactly when no member maps it lower."""
-    return [e for e, images in enumerate(zip(*group)) if min(images) == e]
 
 
 def _extend(seq1, seq2, side: int, elem: int, reply: int):
@@ -77,17 +70,24 @@ class _TypeTable:
     pebble is typed like the one without the repeat. Level 1 keeps the
     children's atoms in place of their type_0: with the parent's type_0
     they determine it. Each structure's memo is keyed by the structure
-    and dropped by `forget`."""
+    and dropped by `forget`; the ids, their keys and the memo of `wins`
+    serve every structure."""
 
     def __init__(self, vocab):
         self._vocab = vocab
         self._ids: dict = {}
+        self._keys: list = []              # id - 1 -> key
         self._memos: dict[Structure, list[dict]] = {}
         self._getters: list[tuple] = []   # per last position k
+        self._wins: dict = {}
 
     def _intern(self, key) -> int:
         # Ids start at 1: `_type` reads a falsy memo lookup as a miss.
-        return self._ids.setdefault(key, len(self._ids) + 1)
+        found = self._ids.get(key)
+        if found is None:
+            self._keys.append(key)
+            found = self._ids[key] = len(self._keys)
+        return found
 
     def _atoms(self, tables, seq: tuple) -> tuple[bool, ...]:
         k = len(seq) - 1
@@ -131,37 +131,88 @@ class _TypeTable:
         levels.extend({} for _ in range(r + 1 - len(levels)))
         return self._type(struct, levels, seq, r)
 
+    def children(self, struct: Structure, seq: tuple, r: int) -> dict:
+        """The kids of type_r(seq) by unpebbled element, ascending: the
+        type_{r-1} of seq + (a,), or its atoms at r = 1."""
+        fresh = [a for a in range(struct.order) if a not in seq]
+        if r == 1:
+            return {a: self._atoms(struct.tables, seq + (a,)) for a in fresh}
+        return {a: self.type_of(struct, seq + (a,), r - 1) for a in fresh}
+
+    def _replies(self, kids, r: int):
+        """Duplicator's answers among `kids` (of rank-r types) by the type_0
+        they must match; at r = 1 a kid is its own atoms."""
+        if r == 1:
+            return frozenset(kids)
+        by_zero: dict[int, list[int]] = {}
+        for kid in set(kids):
+            by_zero.setdefault(self._keys[kid - 1][0], []).append(kid)
+        return by_zero
+
+    def winning(self, kids, last: int | None, switches: int,
+                budget: int | None, r: int):
+        """Yield (side, kid) for each kid of kids[side], side 0 first and in
+        order, whose move wins within r rounds: the move pebbles in `side`
+        an element whose child type is `kid`, and every reply of the same
+        type_0 among kids[1 - side] leaves a position Spoiler wins."""
+        for side in (0, 1):
+            switched = last is not None and side != last
+            if switched and budget is not None and switches >= budget:
+                continue
+            replies = self._replies(kids[1 - side], r)
+            for kid in kids[side]:
+                if r == 1:
+                    won = kid not in replies
+                else:
+                    won = all(
+                        self.wins(*((kid, d) if side == 0 else (d, kid)), side,
+                                  switches + switched, budget, r - 1)
+                        for d in replies.get(self._keys[kid - 1][0], ()))
+                if won:
+                    yield side, kid
+
+    def wins(self, t1: int, t2: int, last: int | None, switches: int,
+             budget: int | None, r: int) -> bool:
+        """Whether Spoiler wins within r rounds from a live position whose
+        tuples have the rank-r types t1 and t2, having last played in
+        structure `last` and switched `switches` times of at most `budget`.
+        Elements of equal type have equal outcomes, so a pair of ids is a
+        sound memo key; equal types, budget or not, are a Duplicator win."""
+        if budget is None or t1 == t2:
+            return t1 != t2
+        key = (t1, t2, last, switches, budget, r)
+        found = self._wins.get(key)
+        if found is None:
+            kids = (self._keys[t1 - 1][1], self._keys[t2 - 1][1])
+            found = self._wins[key] = next(
+                self.winning(kids, last, switches, budget, r), None) is not None
+        return found
+
     def rank(self, m1: Structure, seq1: tuple, m2: Structure, seq2: tuple,
-             cap: int) -> int | None:
-        """The least r in 1..cap at which the two tuples' types differ, or
-        None."""
+             cap: int, budget: int | None = None, last: int | None = None,
+             switches: int = 0) -> int | None:
+        """The least r in 1..cap in which Spoiler wins from the live
+        position (seq1, seq2), or None; without a budget, the least r at
+        which the two tuples' types differ."""
         return next((r for r in range(1, cap + 1)
-                     if self.type_of(m1, seq1, r) != self.type_of(m2, seq2, r)),
-                    None)
+                     if self.wins(self.type_of(m1, seq1, r),
+                                  self.type_of(m2, seq2, r),
+                                  last, switches, budget, r)), None)
 
     def forget(self, struct: Structure):
         self._memos.pop(struct, None)
 
 
 class GameSolver:
-    """Exact game values for one structure pair, with shared memoization."""
+    """Exact game values for one structure pair, from one type table.
+    `position_rank` and `winning_move` take live positions only, as every
+    caller passes: the positions of a game still in progress."""
 
     def __init__(self, m1: Structure, m2: Structure):
         if m1.vocab != m2.vocab:
             raise InputError("game needs structures over the same vocabulary")
         self.m1, self.m2 = m1, m2
-        self._memo: dict = {}
         self._types = _TypeTable(m1.vocab)
-
-    # The minimax alone needs the automorphism groups: plain values come
-    # from types, which never list them.
-    @cached_property
-    def aut1(self) -> list[tuple[int, ...]]:
-        return automorphisms(self.m1)
-
-    @cached_property
-    def aut2(self) -> list[tuple[int, ...]]:
-        return automorphisms(self.m2)
 
     # -- position mechanics -------------------------------------------------
 
@@ -189,88 +240,28 @@ class GameSolver:
                     replies.append(w)
         return replies
 
-    def _stab(self, aut, seq):
-        return [p for p in aut if all(p[e] == e for e in seq)]
-
-    def _canon(self, aut, seq):
-        if len(aut) > CANON_LIMIT:
-            return seq
-        return min(tuple(p[e] for e in seq) for p in aut)
-
-    # -- minimax ------------------------------------------------------------
-
-    def _winning_moves(self, seq1, seq2, stab1, stab2, last, switches, budget, r):
-        """Yield every Spoiler move (side, elem) that wins within r rounds,
-        side 0 first, elements ascending. Only unpebbled orbit
-        representatives under the stabilizers are tried: a move wins iff its
-        images under the stabilizer do, and the least element of a winning
-        orbit is its representative."""
-        for side in (0, 1):
-            if last is not None and side != last and budget is not None \
-                    and switches >= budget:
-                continue
-            new_switches = switches + (1 if last is not None and side != last else 0)
-            seq = seq1 if side == 0 else seq2
-            here, there = (stab1, stab2) if side == 0 else (stab2, stab1)
-            candidates = [e for e in _orbit_reps(here) if e not in seq]
-            reps = None   # orbit representatives of the replying side
-            for elem in candidates:
-                responses = self.legal_responses(seq1, seq2, side, elem)
-                if not responses:
-                    yield side, elem
-                    continue
-                if r == 1:
-                    continue
-                if reps is None:
-                    reps = set(_orbit_reps(there))
-                # Spoiler's new pebble, and so its stabilizer, is the same
-                # for every reply.
-                moved = self._stab(here, (elem,))
-                for w in responses:
-                    if w not in reps:
-                        continue
-                    replied = self._stab(there, (w,))
-                    if not self._wins(*_extend(seq1, seq2, side, elem, w),
-                                      *((moved, replied) if side == 0
-                                        else (replied, moved)),
-                                      side, new_switches, budget, r - 1):
-                        break
-                else:
-                    yield side, elem
-
-    def _wins(self, seq1, seq2, stab1, stab2, last, switches, budget, r) -> bool:
-        if r <= 0:
-            return False
-        key = (self._canon(self.aut1, seq1), self._canon(self.aut2, seq2),
-               last if budget is not None else None,
-               switches if budget is not None else 0, budget, r)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._memo[key] = next(self._winning_moves(
-                seq1, seq2, stab1, stab2, last, switches, budget, r), None) is not None
-        return cached
+    # -- values -------------------------------------------------------------
 
     def position_rank(self, seq1, seq2, cap: int, budget: int | None = None,
                       last: int | None = None, switches: int = 0) -> int | None:
-        """Minimum number of further rounds Spoiler needs, or None beyond cap.
-        Without a budget, the value of a live position comes from types."""
-        seq1, seq2 = tuple(seq1), tuple(seq2)
-        if budget is None:
-            return self._types.rank(self.m1, seq1, self.m2, seq2, cap)
-        stab1 = self._stab(self.aut1, seq1)
-        stab2 = self._stab(self.aut2, seq2)
-        for r in range(1, cap + 1):
-            if self._wins(seq1, seq2, stab1, stab2, last, switches, budget, r):
-                return r
-        return None
+        """Minimum number of further rounds Spoiler needs from a live
+        position, or None beyond cap."""
+        return self._types.rank(self.m1, tuple(seq1), self.m2, tuple(seq2), cap,
+                                budget, last, switches)
 
     def winning_move(self, seq1, seq2, r: int, budget=None, last=None,
                      switches: int = 0):
-        """The first Spoiler move that wins within r rounds, or None."""
-        seq1, seq2 = tuple(seq1), tuple(seq2)
-        return next(self._winning_moves(
-            seq1, seq2, self._stab(self.aut1, seq1), self._stab(self.aut2, seq2),
-            last, switches, budget, r), None)
+        """The least Spoiler move (side, elem), side 0 first, that wins
+        within r rounds from a live position, or None. Pebbling a pebbled
+        element never wins: its partner answers it."""
+        if r < 1:
+            return None
+        kids = (self._types.children(self.m1, tuple(seq1), r),
+                self._types.children(self.m2, tuple(seq2), r))
+        for side, kid in self._types.winning([list(k.values()) for k in kids],
+                                             last, switches, budget, r):
+            return side, min(e for e, k in kids[side].items() if k == kid)
+        return None
 
 
 def distinguishing_rank(m1: Structure, m2: Structure,
@@ -278,20 +269,25 @@ def distinguishing_rank(m1: Structure, m2: Structure,
     """Exact game value: minimum rounds in which Spoiler can force a win.
     None when the cap is exhausted, and at once for isomorphic inputs, whose
     types agree at every rank."""
-    solver = GameSolver(m1, m2)
-    if isomorphic(m1, m2):
-        return None
-    return solver.position_rank((), (), max_rounds)
+    return _root_value(m1, m2, max_rounds, None)
 
 
 def distinguishing_rank_alt(m1: Structure, m2: Structure, alternations: int,
                             max_rounds: int = DEFAULT_ROUND_CAP) -> int | None:
     """Game value when Spoiler may switch structures at most `alternations`
-    times. Non-increasing in the budget."""
+    times. Non-increasing in the budget and never below the plain value, so
+    None at once for isomorphic inputs too."""
     if alternations < 0:
         raise InputError("alternation budget must be non-negative")
-    return GameSolver(m1, m2).position_rank((), (), max_rounds,
-                                            budget=alternations)
+    return _root_value(m1, m2, max_rounds, alternations)
+
+
+def _root_value(m1: Structure, m2: Structure, max_rounds: int,
+                budget: int | None) -> int | None:
+    solver = GameSolver(m1, m2)
+    if isomorphic(m1, m2):
+        return None
+    return solver.position_rank((), (), max_rounds, budget=budget)
 
 
 def identification_rank(struct: Structure, alternations: int | None = None,
@@ -303,17 +299,14 @@ def identification_rank(struct: Structure, alternations: int | None = None,
         raise InputError("alternation budget must be non-negative")
     cap = max_rounds if max_rounds is not None else struct.order + 1
     own = canonical_key(struct, graph_mode)
-    types = _TypeTable(struct.vocab)   # struct's types serve every rival
+    # struct's types and the memo of `wins` serve every rival
+    types = _TypeTable(struct.vocab)
     worst = 0
     for rival in enumerate_structures(struct.vocab, struct.order, graph_mode):
         if _mask_of(rival, graph_mode) == own:
             continue
-        if alternations is None:
-            value = types.rank(struct, (), rival, (), cap)
-            types.forget(rival)
-        else:
-            value = GameSolver(struct, rival).position_rank(
-                (), (), cap, budget=alternations)
+        value = types.rank(struct, (), rival, (), cap, alternations)
+        types.forget(rival)
         if value is None:
             raise CapExceeded(
                 f"round cap {cap} exhausted against a non-isomorphic rival")

@@ -9,7 +9,7 @@ used to check.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, evaluate
 from fid.structures import (Structure, Vocabulary, _mask_of, canonical_key,
@@ -170,25 +170,6 @@ def burnside_count(vocab: Vocabulary, n: int, graph_mode: bool) -> int:
 # Plain game minimax.
 # ---------------------------------------------------------------------------
 
-def brute_orbits(group, n: int) -> list[tuple[int, ...]]:
-    """The orbits of the permutations `group` on range(n), each sorted, by
-    closing every element under every permutation."""
-    orbits, seen = [], set()
-    for e in range(n):
-        if e in seen:
-            continue
-        orbit, frontier = {e}, [e]
-        while frontier:
-            x = frontier.pop()
-            for perm in group:
-                if perm[x] not in orbit:
-                    orbit.add(perm[x])
-                    frontier.append(perm[x])
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
-
-
 def brute_legal_responses(a: Structure, b: Structure, seq1, seq2, side: int,
                           elem: int) -> list[int]:
     """Every reply in the other structure to `elem` in structure `side` after
@@ -204,21 +185,30 @@ def brute_legal_responses(a: Structure, b: Structure, seq1, seq2, side: int,
     return replies
 
 
+@lru_cache(maxsize=2)
+def _brute_replies(a: Structure, b: Structure):
+    """`brute_legal_responses` on one pair, memoized per position and move."""
+    return lru_cache(maxsize=None)(partial(brute_legal_responses, a, b))
+
+
+@lru_cache(maxsize=4)
 def _brute_minimax(a: Structure, b: Structure, budget):
     """(wins, move_wins): wins(seq1, seq2, last, switches, r) says Spoiler
     forces a win within r rounds; move_wins(..., side, elem, r) says the move
     `elem` in structure `side` does. A memoized minimax over raw pebble
     sequences that tries every move and every reply, with no symmetry
     reduction. `budget` caps how often Spoiler may switch structures; a move
-    that would exceed it never wins."""
+    that would exceed it never wins. The last few minimaxes are kept, so
+    the positions of one pair and budget share one memo."""
     sizes = (a.order, b.order)
     counted = budget is not None
+    replies = _brute_replies(a, b)
 
     def move_wins(seq1, seq2, last, switches, side, elem, r) -> bool:
         switched = last is not None and side != last
         if switched and counted and switches >= budget:
             return False
-        for reply in brute_legal_responses(a, b, seq1, seq2, side, elem):
+        for reply in replies(seq1, seq2, side, elem):
             x, y = (elem, reply) if side == 0 else (reply, elem)
             if not wins(seq1 + (x,), seq2 + (y,), side if counted else None,
                         switches + switched if counted else 0, r - 1):
@@ -235,20 +225,27 @@ def _brute_minimax(a: Structure, b: Structure, budget):
     return wins, move_wins
 
 
-def brute_game_rank(a: Structure, b: Structure, cap: int, budget=None):
-    """Least r <= cap in which Spoiler forces a win from the empty position,
-    or None, by the plain minimax of `_brute_minimax`."""
+_ROOT = ((), (), None, 0)
+
+
+def brute_game_rank(a: Structure, b: Structure, cap: int, budget=None,
+                    start=_ROOT):
+    """Least r <= cap in which Spoiler forces a win from the position
+    `start` = (seq1, seq2, last, switches), the empty one by default, or
+    None, by the plain minimax of `_brute_minimax`."""
     wins, _ = _brute_minimax(a, b, budget)
-    return next((r for r in range(1, cap + 1) if wins((), (), None, 0, r)), None)
+    return next((r for r in range(1, cap + 1) if wins(*start, r)), None)
 
 
-def brute_winning_move(a: Structure, b: Structure, r: int, budget=None):
+def brute_winning_move(a: Structure, b: Structure, r: int, budget=None,
+                       start=_ROOT):
     """The least (side, elem) with which Spoiler wins within r rounds from
-    the empty position, or None, by the plain minimax of `_brute_minimax`."""
+    the position `start` = (seq1, seq2, last, switches), the empty one by
+    default, or None, by the plain minimax of `_brute_minimax`."""
     _, move_wins = _brute_minimax(a, b, budget)
     return next(((side, elem) for side in (0, 1)
                  for elem in range((a.order, b.order)[side])
-                 if move_wins((), (), None, 0, side, elem, r)), None)
+                 if move_wins(*start, side, elem, r)), None)
 
 
 # ---------------------------------------------------------------------------

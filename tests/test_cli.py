@@ -146,13 +146,8 @@ def test_negative_integer_flags_exit_2(argv, message, k3_file, p3_file, capsys):
     assert message in captured.err and not captured.out
 
 
-def test_game_isomorphic_order8(tmp_path, monkeypatch, capsys):
-    """Isomorphic inputs are settled by one isomorphism search: no rank-r
-    type is built (unguarded types on the 8-cycle take seconds and hundreds
-    of MB at the default 12 rounds)."""
-    def refuse(*args):
-        raise AssertionError("isomorphic inputs built a type")
-    monkeypatch.setattr(fid.games._TypeTable, "type_of", refuse)
+def _cycle8_labellings(tmp_path):
+    """Two labellings of the 8-cycle, as .fos paths."""
     cycle = [(i, (i + 1) % 8) for i in range(8)]
     perm = (3, 7, 1, 5, 0, 2, 6, 4)
     paths = []
@@ -161,24 +156,55 @@ def test_game_isomorphic_order8(tmp_path, monkeypatch, capsys):
         path.write_text("vocab E/2\norder 8\ngraph\n"
                         + "".join(f"E {x} {y}\n" for x, y in edges))
         paths.append(str(path))
-    assert main(["game", *paths]) == 0
+    return paths
+
+
+def test_game_isomorphic_order8(tmp_path, monkeypatch, capsys):
+    """Isomorphic inputs are settled by one isomorphism search: no rank-r
+    type is built (unguarded types on the 8-cycle take seconds and hundreds
+    of MB at the default 12 rounds)."""
+    def refuse(*args):
+        raise AssertionError("isomorphic inputs built a type")
+    monkeypatch.setattr(fid.games._TypeTable, "type_of", refuse)
+    assert main(["game", *_cycle8_labellings(tmp_path)]) == 0
     assert capsys.readouterr().out.strip() == "D unresolved within 12 rounds"
 
 
-def test_plain_values_list_no_automorphisms(tmp_path, monkeypatch, p3_file, capsys):
-    """`fid game` and plain `fid rank` come from types and never list an
-    automorphism group: the order-8 empty graph against one edge needs
-    1 + 8 + 56 tuples per side, not 8! permutations."""
+def test_game_alternations_isomorphic_order8(tmp_path, monkeypatch, capsys):
+    """A switch budget never lowers the value, so isomorphic inputs to
+    `fid game --alternations` are settled by the same isomorphism search:
+    no position is solved (the search took seconds on the 8-cycle)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomorphic inputs were searched")
+    monkeypatch.setattr(fid.games.GameSolver, "position_rank", refuse)
+    paths = _cycle8_labellings(tmp_path)
+    for budget in ("1", "0"):
+        assert main(["game", *paths, "--alternations", budget]) == 0
+        assert capsys.readouterr().out.strip() == \
+            f"D^{budget} unresolved within 12 rounds"
+
+
+def test_games_list_no_automorphisms(tmp_path, monkeypatch, p3_file, h5_file,
+                                     capsys):
+    """`fid game` and `fid rank`, with a switch budget or without, come from
+    types and never list an automorphism group: the order-8 empty graph
+    against one edge needs 1 + 8 + 56 tuples per side, not 8! permutations."""
     def refuse(struct):
-        raise AssertionError("a plain value listed automorphisms")
+        raise AssertionError("a game value listed automorphisms")
     monkeypatch.setattr(fid.games, "automorphisms", refuse)
     empty, edge = tmp_path / "e8.fos", tmp_path / "k2.fos"
     empty.write_text("vocab E/2\norder 8\ngraph\n")
     edge.write_text("vocab E/2\norder 8\ngraph\nE 0 1\n")
-    assert main(["game", str(empty), str(edge)]) == 0
-    assert capsys.readouterr().out.strip() == "D = 2"
-    assert main(["rank", p3_file]) == 0
-    assert capsys.readouterr().out.strip() == "I = 2"
+    c5 = tmp_path / "c5.fos"
+    c5.write_text("vocab E/2\norder 5\ngraph\n"
+                  + "".join(f"E {i} {(i + 1) % 5}\n" for i in range(5)))
+    for argv, want in ((["game", str(empty), str(edge)], "D = 2"),
+                       (["rank", p3_file], "I = 2"),
+                       (["rank", p3_file, "--alternations", "1"], "I^1 = 2"),
+                       (["game", h5_file, str(c5), "--alternations", "1"], "D^1 = 2"),
+                       (["game", h5_file, str(c5), "--alternations", "0"], "D^0 = 3")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == want
 
 
 def test_rank(p3_file, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph
-from oracles import (brute_game_rank, brute_legal_responses, brute_orbits,
+from oracles import (brute_game_rank, brute_legal_responses,
                      brute_winning_move, game_rank_via_formulas, random_graph,
                      random_structure)
 
@@ -18,7 +18,7 @@ from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary,
                             enumerate_structures, relabel)
 from fid.invariants import game_budget, gen_mfmg
 from fid.games import (GameSolver, OptimalDuplicator, PhasedSpoiler,
-                       SolverSpoiler, _orbit_reps, automorphisms,
+                       SolverSpoiler, automorphisms,
                        distinguishing_rank, distinguishing_rank_alt,
                        identification_rank, play_out)
 
@@ -95,10 +95,11 @@ def test_types_match_brute_force():
 
 
 def test_types_match_minimax():
-    """Plain values by types equal the minimax with a budget of cap
-    switches, which cap rounds cannot exhaust: on every same-order pair of
-    order-5 graphs, 300 seeded order-3 digraph pairs, and every live position
-    of length <= 2, repeated pebbles included, on graphs of order <= 4."""
+    """Plain values (the least rank at which the types differ) equal the
+    type minimax with a budget of cap switches, which cap rounds cannot
+    exhaust: types against types, on every same-order pair of order-5
+    graphs, 300 seeded order-3 digraph pairs, and every live position of
+    length <= 2, repeated pebbles included, on graphs of order <= 4."""
     digraphs3 = list(enumerate_structures(GRAPH_VOCAB, 3))
     pairs = list(itertools.combinations(graphs(5), 2)) + random.Random(8).sample(
         list(itertools.product(digraphs3, repeat=2)), 300)
@@ -271,6 +272,48 @@ def test_winning_move_matches_oracle():
             assert move == brute_winning_move(a, b, value, budget)
 
 
+def _check_positions_against_oracle(a, b, cap):
+    """`position_rank` and, at the game value, `winning_move` equal the
+    plain minimax from every live position of length <= 2, repeated pebbles
+    included, for budgets None, 0 and 1. Positions of length >= 1 are tried
+    with either side played last and every feasible switch count, so
+    exhausted budgets are among them. Returns the number of exhausted
+    starts checked."""
+    solver = GameSolver(a, b)
+    positions = sorted(set(_live_positions(a, b, 2, solver.legal_responses)))
+    exhausted = 0
+    for budget in (None, 0, 1):
+        for seq1, seq2 in positions:
+            if not seq1 or budget is None:
+                states = [(None, 0)]
+            else:
+                states = [(last, switches) for last in (0, 1)
+                          for switches in range(min(budget, len(seq1) - 1) + 1)]
+            for last, switches in states:
+                exhausted += budget is not None and last is not None \
+                    and switches == budget
+                start = (seq1, seq2, last, switches)
+                value = solver.position_rank(seq1, seq2, cap, budget=budget,
+                                             last=last, switches=switches)
+                assert value == brute_game_rank(a, b, cap, budget, start)
+                if value is not None:
+                    move = solver.winning_move(seq1, seq2, value, budget=budget,
+                                               last=last, switches=switches)
+                    assert move == brute_winning_move(a, b, value, budget, start)
+    return exhausted
+
+
+def test_positions_match_oracle():
+    """Mid-game values and winning moves, budgeted or not, equal the plain
+    minimax within 4 rounds on every pair of distinct graphs of order <= 4
+    and on 150 seeded pairs of order-3 digraphs, isomorphic ones included."""
+    small = [s for order in range(1, 5) for s in graphs(order)]
+    digraphs3 = list(enumerate_structures(GRAPH_VOCAB, 3))
+    pairs = list(itertools.combinations(small, 2)) + \
+        random.Random(15).sample(list(itertools.product(digraphs3, repeat=2)), 150)
+    assert sum(_check_positions_against_oracle(a, b, 4) for a, b in pairs)
+
+
 @functools.lru_cache(maxsize=None)
 def _pinned_transcripts():
     """The phased transcripts of C9, the mfmg(2) pair and P3/P4, and those
@@ -314,21 +357,6 @@ def test_pinned_transcript_results():
     empty = play_out(SolverSpoiler(k3, p3), k3, p3, max_rounds=0)
     assert (empty.moves, empty.outcome, empty.win_round, empty.alternations) \
         == ([], "duplicator", None, 0)
-
-
-def test_orbit_reps_match_closure():
-    """The orbit minima of the pointwise stabilizer of every tuple of length
-    <= 2 are the least elements of the orbits found by closure, on every
-    graph of order <= 5 and every order-3 digraph."""
-    digraphs3 = list(enumerate_structures(Vocabulary((("E", 2),)), 3))
-    for struct in [s for order in range(1, 6) for s in graphs(order)] + digraphs3:
-        group = automorphisms(struct)
-        n = struct.order
-        for length in range(3):
-            for tup in itertools.product(range(n), repeat=length):
-                stab = [p for p in group if all(p[e] == e for e in tup)]
-                assert _orbit_reps(stab) == \
-                    [min(orbit) for orbit in brute_orbits(stab, n)]
 
 
 def _live_positions(a, b, length, replies):
