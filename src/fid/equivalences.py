@@ -63,29 +63,9 @@ def _build_partition(elements, same) -> Partition:
 
 
 def similar(struct: Structure, u: int, v: int) -> bool:
-    """True iff transposing u and v (fixing everything else) is an automorphism."""
-    if u == v:
-        return True
-    for idx, (_, arity) in enumerate(struct.vocab.symbols):
-        if arity == 2:
-            out, inn = struct.binary_rows(idx)
-            swap = (1 << u) | (1 << v)
-            for x in struct.universe():
-                if x == u or x == v:
-                    continue
-                if (out[x] & swap) not in (0, swap) or (inn[x] & swap) not in (0, swap):
-                    return False
-            tab = struct.tables[idx]
-            if ((u, u) in tab) != ((v, v) in tab) or ((u, v) in tab) != ((v, u) in tab):
-                return False
-            continue
-        table = struct.tables[idx]
-        for tup in table:
-            if u in tup or v in tup:
-                swapped = tuple(v if e == u else u if e == v else e for e in tup)
-                if swapped not in table:
-                    return False
-    return True
+    """True iff transposing u and v (fixing everything else) is an
+    automorphism, that is one of the substructure induced on all elements."""
+    return u == v or approx_x(struct, frozenset(struct.universe()) - {u, v}, u, v)
 
 
 @memoized

@@ -2,13 +2,16 @@
 
 AST with n-ary conjunction/disjunction (the synthesized matrices contain
 combinatorially large disjunctions, and n-ary nodes keep the metric
-computations linear), quantifier-rank/alternation/prefix metrics computed by
-a depth-tracked traversal with polarity, one model checker, and the two
-quantifier-free building blocks every synthesized formula is made of: the
-all-distinct conjunction and the atomic-diagram formula of a tuple.
+computations linear), quantifier-rank/alternation/count metrics computed by
+one depth-tracked traversal with polarity, one reader of the quantifier
+prefix (`split_prefix`), one model checker, and the two quantifier-free
+building blocks every synthesized formula is made of: the all-distinct
+conjunction and the atomic-diagram formula of a tuple.
 
 The model checker, `compile_bits`, is bit-sliced: it checks a formula on
-thousands of same-order structures at once (the verification sweeps).
+thousands of same-order structures at once (the verification sweeps). One
+walk at compile time checks the formula against the vocabulary and builds
+its closures; each run only binds the structures and the free values.
 `evaluate` and `compile_eval` run it on a one-structure slice.
 
 Text format (prenex sentences only):
@@ -143,28 +146,30 @@ _NEG = -1  # sentinel for "no nest string with this leading quantifier"
 
 
 def _nest_info(phi: Formula, flipped: bool):
-    """(qr, max alt of strings starting with an existential, same for
-    universal, whether the empty string occurs), without materializing the
-    nest-string set. `flipped` tracks negation parity."""
+    """(qr, max alt of nest strings starting with an existential, same for
+    universal, whether the empty string occurs, existentials, universals),
+    without materializing the nest-string set. `flipped` tracks negation
+    parity; the two counts are syntactic."""
     if isinstance(phi, (Rel, Eq)):
-        return 0, _NEG, _NEG, True
+        return 0, _NEG, _NEG, True, 0, 0
     if isinstance(phi, Not):
-        qr, a_ex, a_all, empty = _nest_info(phi.child, not flipped)
-        return qr, a_ex, a_all, empty
+        return _nest_info(phi.child, not flipped)
     if isinstance(phi, (And, Or)):
         if not phi.children:
-            return 0, _NEG, _NEG, True  # constants behave like atoms
-        qr = 0
+            return 0, _NEG, _NEG, True, 0, 0  # constants behave like atoms
+        qr = ex = al = 0
         a_ex = a_all = _NEG
         empty = False
         for child in phi.children:
-            c_qr, c_ex, c_all, c_empty = _nest_info(child, flipped)
+            c_qr, c_ex, c_all, c_empty, c_exs, c_als = _nest_info(child, flipped)
             qr = max(qr, c_qr)
             a_ex = max(a_ex, c_ex)
             a_all = max(a_all, c_all)
             empty = empty or c_empty
-        return qr, a_ex, a_all, empty
-    qr, c_ex, c_all, c_empty = _nest_info(phi.body, flipped)
+            ex += c_exs
+            al += c_als
+        return qr, a_ex, a_all, empty, ex, al
+    qr, c_ex, c_all, c_empty, ex, al = _nest_info(phi.body, flipped)
     acts_existential = isinstance(phi, Exists) != flipped
     same, other = (c_ex, c_all) if acts_existential else (c_all, c_ex)
     prepended = _NEG
@@ -174,63 +179,41 @@ def _nest_info(phi: Formula, flipped: bool):
         prepended = max(prepended, other + 1)
     if c_empty:
         prepended = max(prepended, 0)
+    if isinstance(phi, Exists):
+        ex += 1
+    else:
+        al += 1
     if acts_existential:
-        return qr + 1, prepended, _NEG, False
-    return qr + 1, _NEG, prepended, False
+        return qr + 1, prepended, _NEG, False, ex, al
+    return qr + 1, _NEG, prepended, False, ex, al
 
 
-def _quantifier_counts(phi: Formula):
-    if isinstance(phi, (Rel, Eq)):
-        return 0, 0
-    if isinstance(phi, Not):
-        return _quantifier_counts(phi.child)
-    if isinstance(phi, (And, Or)):
-        ex = al = 0
-        for child in phi.children:
-            ce, ca = _quantifier_counts(child)
-            ex += ce
-            al += ca
-        return ex, al
-    ce, ca = _quantifier_counts(phi.body)
-    return (ce + 1, ca) if isinstance(phi, Exists) else (ce, ca + 1)
-
-
-def _prefix_blocks(phi: Formula):
-    """Quantifier blocks of a prenex formula, or None if not prenex."""
-    blocks: list[list] = []
-    cur = phi
-    while isinstance(cur, (Exists, ForAll)):
-        kind = type(cur)
-        if blocks and blocks[-1][0] is kind:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([kind, 1])
-        cur = cur.body
-    ex, al = _quantifier_counts(cur)
-    if ex or al:
-        return None
-    return blocks
+def split_prefix(phi: Formula):
+    """(leading quantifier nodes, the formula below them)."""
+    quants = []
+    while isinstance(phi, (Exists, ForAll)):
+        quants.append(phi)
+        phi = phi.body
+    return quants, phi
 
 
 def metrics(phi: Formula) -> FormulaMetrics:
-    qr, a_ex, a_all, empty = _nest_info(phi, False)
-    alt = max(a_ex, a_all, 0 if empty else _NEG)
-    alt = max(alt, 0)
-    ex, al = _quantifier_counts(phi)
-    blocks = _prefix_blocks(phi)
-    if blocks is None:
+    """Quantifier rank, alternations and counts from one walk; the formula is
+    prenex when every quantifier it holds is in its leading prefix."""
+    qr, a_ex, a_all, _, ex, al = _nest_info(phi, False)
+    quants, _ = split_prefix(phi)
+    blocks = [kind for kind, _ in itertools.groupby(map(type, quants))]
+    prenex = ex + al == len(quants)
+    if not prenex:
         prefix = "non-prenex"
-        is_bs = False
     elif not blocks:
         prefix = "Sigma_0"
-        is_bs = True
     else:
-        first = "Sigma" if blocks[0][0] is Exists else "Pi"
-        prefix = f"{first}_{len(blocks)}"
-        kinds = [b[0] for b in blocks]
-        is_bs = len(kinds) == 1 or kinds == [Exists, ForAll]
-    return FormulaMetrics(qr=qr, alt=alt, prefix_class=prefix, is_bs=is_bs,
-                          quantifiers=ex + al, existentials=ex, universals=al)
+        prefix = f"{'Sigma' if blocks[0] is Exists else 'Pi'}_{len(blocks)}"
+    is_bs = prenex and (len(blocks) <= 1 or blocks == [Exists, ForAll])
+    return FormulaMetrics(qr=qr, alt=max(a_ex, a_all, 0), prefix_class=prefix,
+                          is_bs=is_bs, quantifiers=ex + al, existentials=ex,
+                          universals=al)
 
 
 # ---------------------------------------------------------------------------
@@ -244,38 +227,6 @@ def evaluate(struct: Structure, phi: Formula, env: dict[str, int] | None = None)
     env = env or {}
     check = compile_bits(phi, struct.vocab, tuple(env))
     return bool(check(bit_slices(struct.vocab, struct.order, (struct,)), *env.values()))
-
-
-def _check_formula(phi: Formula, vocab: Vocabulary, free: tuple[str, ...] = ()):
-    """Raise InputError for an unknown symbol, a wrong arity or an unbound
-    variable anywhere in the formula, in the order a depth-first walk meets
-    them. The model checker checks up front, so a branch that a run would
-    skip still fails."""
-    arities = dict(vocab.symbols)
-
-    def walk(node, bound):
-        if isinstance(node, Rel):
-            if node.sym not in arities:
-                raise InputError(f"formula uses unknown symbol {node.sym!r}")
-            arity = arities[node.sym]
-            if len(node.args) != arity:
-                raise InputError(f"{node.sym} expects arity {arity}, got {len(node.args)}")
-            variables = node.args
-        elif isinstance(node, Eq):
-            variables = (node.left, node.right)
-        elif isinstance(node, Not):
-            return walk(node.child, bound)
-        elif isinstance(node, (And, Or)):
-            for child in node.children:
-                walk(child, bound)
-            return
-        else:
-            return walk(node.body, bound | {node.var})
-        for var in variables:
-            if var not in bound:
-                raise InputError(f"unbound variable {var!r}")
-
-    walk(phi, frozenset(free))
 
 
 def compile_eval(phi: Formula, vocab: Vocabulary, free_order: tuple[str, ...] = ()):
@@ -323,58 +274,94 @@ def compile_bits(phi: Formula, vocab: Vocabulary, free: tuple[str, ...] = ()):
     sliced structures that satisfy it under the free-variable values given
     in the order of `free`, bit r for structure r.
 
-    Tarskian semantics, equality built in, innermost binding wins. Each
-    subformula is one int over all structures: atoms are looked up,
+    Tarskian semantics, equality built in, innermost binding wins. One
+    depth-first walk at compile time builds the closure tree and raises
+    InputError for an unknown symbol, a wrong arity or an unbound variable
+    in the order it meets them, so a branch that a run would skip still
+    fails. A run only binds the free values, the slices' atom tables and
+    the order, and calls the root; runs share that binding, so one compiled
+    check must not run in two threads at once.
+
+    Each subformula is one int over all structures: atoms are looked up,
     connectives and quantifiers are bitwise. Every branch gets a care-set,
     the structures whose answer is still open, and returns its result
     within it. A conjunction or universal stops once the care-set empties;
     a disjunction or existential stops once its result covers the care-set.
     """
-    _check_formula(phi, vocab, free)
+    arities = dict(vocab.symbols)
     sym_index = {name: i for i, (name, _) in enumerate(vocab.symbols)}
-    free_slots = {var: i for i, var in enumerate(free)}
+    # env[d] is the value of the free variable (d < len(free)) or of the
+    # quantifier at depth d - len(free); `tables` and `universe` are the
+    # current run's
+    env = [0] * len(free)
+    tables: tuple[dict[tuple[int, ...], int], ...] = ()
+    universe = range(0)
+
+    def slots(variables, slot_of):
+        found = tuple(map(slot_of.get, variables))
+        if None in found:
+            raise InputError(f"unbound variable {variables[found.index(None)]!r}")
+        return found
+
+    def gen(node, slot_of, depth):
+        if isinstance(node, Rel):
+            if node.sym not in arities:
+                raise InputError(f"formula uses unknown symbol {node.sym!r}")
+            arity = arities[node.sym]
+            if len(node.args) != arity:
+                raise InputError(f"{node.sym} expects arity {arity}, got {len(node.args)}")
+            s, args = sym_index[node.sym], slots(node.args, slot_of)
+            if arity == 1:
+                i, = args
+                return lambda care: tables[s].get((env[i],), 0) & care
+            if arity == 2:
+                i, j = args
+                return lambda care: tables[s].get((env[i], env[j]), 0) & care
+            return lambda care: tables[s].get(tuple(map(env.__getitem__, args)), 0) & care
+        if isinstance(node, Eq):
+            i, j = slots((node.left, node.right), slot_of)
+            return lambda care: care if env[i] == env[j] else 0
+        if isinstance(node, Not):
+            child = gen(node.child, slot_of, depth)
+            return lambda care: care ^ child(care)
+        if isinstance(node, (And, Or)):
+            parts = [gen(c, slot_of, depth) for c in node.children]
+            return (_all_of if isinstance(node, And) else _any_of)(parts)
+        if depth == len(env):
+            env.append(0)
+        body = gen(node.body, {**slot_of, node.var: depth}, depth + 1)
+        if isinstance(node, ForAll):
+            def every(care):
+                for e in universe:
+                    env[depth] = e
+                    care = body(care)
+                    if not care:
+                        break
+                return care
+            return every
+
+        def some(care):
+            out = 0
+            for e in universe:
+                env[depth] = e
+                got = body(care)
+                if got:
+                    out |= got
+                    care ^= got
+                    if not care:
+                        break
+            return out
+        return some
+
+    root = gen(phi, {var: i for i, var in enumerate(free)}, len(free))
 
     def run(slices: BitSlices, *values) -> int:
+        nonlocal tables, universe
         if len(values) != len(free):
             raise TypeError(f"expected {len(free)} free-variable values, got {len(values)}")
-        universe = range(slices.order)
-        # env[d] is the value of the free variable (d < len(free)) or of the
-        # quantifier at depth d - len(free)
-        env = list(values)
-
-        def bind(depth, e, body):
-            def instance(care):
-                env[depth] = e
-                return body(care)
-            return instance
-
-        def gen(node, slot_of, depth):
-            if isinstance(node, Rel):
-                atoms = slices.atoms[sym_index[node.sym]]
-                slots = tuple(slot_of[a] for a in node.args)
-                if len(slots) == 1:
-                    i, = slots
-                    return lambda care: atoms.get((env[i],), 0) & care
-                if len(slots) == 2:
-                    i, j = slots
-                    return lambda care: atoms.get((env[i], env[j]), 0) & care
-                return lambda care: atoms.get(tuple(map(env.__getitem__, slots)), 0) & care
-            if isinstance(node, Eq):
-                i, j = slot_of[node.left], slot_of[node.right]
-                return lambda care: care if env[i] == env[j] else 0
-            if isinstance(node, Not):
-                child = gen(node.child, slot_of, depth)
-                return lambda care: care ^ child(care)
-            if isinstance(node, (And, Or)):
-                parts = [gen(c, slot_of, depth) for c in node.children]
-                return (_all_of if isinstance(node, And) else _any_of)(parts)
-            if depth == len(env):
-                env.append(0)
-            body = gen(node.body, {**slot_of, node.var: depth}, depth + 1)
-            parts = [bind(depth, e, body) for e in universe]
-            return (_all_of if isinstance(node, ForAll) else _any_of)(parts)
-
-        return gen(phi, free_slots, len(free))(slices.full)
+        env[:len(free)] = values
+        tables, universe = slices.atoms, range(slices.order)
+        return root(slices.full)
 
     return run
 
@@ -427,7 +414,9 @@ def iso_formula(struct: Structure, elements, variables=None) -> Formula:
     if variables is None:
         variables = [f"x{i + 1}" for i in range(len(elements))]
     variables = list(variables)
-    assert len(variables) == len(elements)
+    if len(variables) != len(elements):
+        raise InputError(f"atomic diagram of {len(elements)} elements needs as many "
+                         f"variables, got {len(variables)}")
     parts: list[Formula] = [dist_formula(variables)]
     l = len(elements)
     for idx, (name, arity) in enumerate(struct.vocab.symbols):
@@ -581,14 +570,7 @@ def parse_formula(text: str, vocab: Vocabulary | None = None) -> Formula:
 def format_formula(phi: Formula) -> str:
     """Canonical text form: space-separated quantifier prefix, fully
     parenthesized matrix. Prenex sentences only (all synthesized formulas are)."""
-    prefix = []
-    cur = phi
-    while isinstance(cur, (Exists, ForAll)):
-        prefix.append(f"{'EX' if isinstance(cur, Exists) else 'ALL'} {cur.var} .")
-        cur = cur.body
-    blocks = _prefix_blocks(phi)
-    if blocks is None:
-        raise InputError("only prenex formulas have a text form")
+    quants, matrix = split_prefix(phi)
 
     def fmt(node) -> str:
         if isinstance(node, Rel):
@@ -605,7 +587,7 @@ def format_formula(phi: Formula) -> str:
             if not node.children:
                 return "FALSE"
             return "(" + " | ".join(fmt(c) for c in node.children) + ")"
-        raise InputError("quantifier inside matrix")
+        raise InputError("only prenex formulas have a text form")
 
-    matrix = fmt(cur)
-    return " ".join(prefix + [matrix]) if prefix else matrix
+    prefix = [f"{'EX' if isinstance(q, Exists) else 'ALL'} {q.var} ." for q in quants]
+    return " ".join(prefix + [fmt(matrix)])

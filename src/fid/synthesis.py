@@ -22,7 +22,8 @@ from .invariants import (DEFAULT_DELTA_CAP, best_delta, bs_budget,
 from .logic import (DEFAULT_NODE_CEILING, TRUE, And, Eq, Exists, ForAll,
                     Formula, FormulaMetrics, Not, Or, Rel, compile_eval, conj,
                     disj, dist_formula, exists_block, forall_block,
-                    guard_nodes, implies, iso_formula, metrics)
+                    guard_nodes, implies, iso_formula, metrics,
+                    split_prefix)
 from .structures import (GRAPH_VOCAB, Structure, canonical_key,
                          graph_complement)
 
@@ -329,21 +330,11 @@ def synth_graph(struct: Structure, cap: int = DEFAULT_DELTA_CAP,
 def _prenex_split(phi: Formula):
     """(existential vars, universal vars, matrix) for an E*A* sentence,
     or None if the formula is not of that shape."""
-    ys = []
-    cur = phi
-    while isinstance(cur, Exists):
-        ys.append(cur.var)
-        cur = cur.body
-    xs = []
-    while isinstance(cur, ForAll):
-        xs.append(cur.var)
-        cur = cur.body
-    if isinstance(cur, (Exists, ForAll)):
+    if not metrics(phi).is_bs:
         return None
-    m = metrics(cur)
-    if m.quantifiers:
-        return None
-    return ys, xs, cur
+    quants, matrix = split_prefix(phi)
+    return ([q.var for q in quants if isinstance(q, Exists)],
+            [q.var for q in quants if isinstance(q, ForAll)], matrix)
 
 
 def _existential_witness(struct: Structure, ys, xs, matrix):

@@ -9,6 +9,7 @@ used to check.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache, partial
 
 from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, evaluate
@@ -311,6 +312,54 @@ def ground_eval(struct: Structure, phi, env=None) -> bool:
         raise AssertionError("quantifier survived expansion")
 
     return value(expand(phi))
+
+
+def _subformulas(phi):
+    yield phi
+    if isinstance(phi, Not):
+        yield from _subformulas(phi.child)
+    elif isinstance(phi, (And, Or)):
+        for child in phi.children:
+            yield from _subformulas(child)
+    elif isinstance(phi, (Exists, ForAll)):
+        yield from _subformulas(phi.body)
+
+
+def brute_metrics(phi) -> dict:
+    """Every `FormulaMetrics` field, by name, from the set of nest strings
+    (the quantifiers met on each root-to-leaf path, as E/A after negations)
+    and the letters of the leading quantifiers."""
+    def nests(node, flipped):
+        if isinstance(node, Not):
+            return nests(node.child, not flipped)
+        if isinstance(node, (And, Or)) and node.children:
+            return set().union(*(nests(c, flipped) for c in node.children))
+        if isinstance(node, (Exists, ForAll)):
+            letter = "E" if isinstance(node, Exists) != flipped else "A"
+            return {letter + rest for rest in nests(node.body, flipped)}
+        return {""}
+
+    strings = nests(phi, False)
+    letters, matrix = "", phi
+    while isinstance(matrix, (Exists, ForAll)):
+        letters += "E" if isinstance(matrix, Exists) else "A"
+        matrix = matrix.body
+    blocks = [letter for letter, _ in itertools.groupby(letters)]
+    prenex = not any(isinstance(node, (Exists, ForAll)) for node in _subformulas(matrix))
+    if not prenex:
+        prefix_class = "non-prenex"
+    elif not blocks:
+        prefix_class = "Sigma_0"
+    else:
+        prefix_class = ("Sigma" if blocks[0] == "E" else "Pi") + f"_{len(blocks)}"
+    existentials = sum(isinstance(node, Exists) for node in _subformulas(phi))
+    universals = sum(isinstance(node, ForAll) for node in _subformulas(phi))
+    return {"qr": max(map(len, strings)),
+            "alt": max(sum(a != b for a, b in zip(s, s[1:])) for s in strings),
+            "prefix_class": prefix_class,
+            "is_bs": prenex and re.fullmatch("E*A*", letters) is not None,
+            "quantifiers": existentials + universals,
+            "existentials": existentials, "universals": universals}
 
 
 def codegen_eval(phi, vocab: Vocabulary):

@@ -8,7 +8,7 @@ from oracles import (brute_approx_x, brute_classes, brute_equiv_x,
                      brute_similar, random_graph, random_structure)
 
 from fid.errors import InputError
-from fid.structures import GRAPH_VOCAB, enumerate_structures
+from fid.structures import GRAPH_VOCAB, enumerate_structures, parse_vocab_spec
 from fid.equivalences import (base_decomposition, classes_of, counting_terms,
                               equiv_phi, equiv_x, approx_x, fineness, is_base,
                               sim_classes, similar, transform_e, transform_t)
@@ -28,8 +28,13 @@ def test_similar_examples(p3, k3, h5):
 
 def test_similar_matches_oracle():
     rng = random.Random(17)
-    for _ in range(30):
-        s = random_structure(GRAPH_VOCAB, rng.randrange(2, 5), rng)
+    cases = [random_structure(GRAPH_VOCAB, rng.randrange(2, 5), rng) for _ in range(30)]
+    # a ternary symbol reaches the general-arity check; sparse tables keep
+    # similar pairs common there
+    mixed = parse_vocab_spec("P/1 E/2 T/3")
+    cases += [random_structure(mixed, rng.randrange(2, 5), rng, rng.random() ** 3)
+              for _ in range(40)]
+    for s in cases:
         for u, v in itertools.combinations(range(s.order), 2):
             assert similar(s, u, v) == brute_similar(s, u, v)
 

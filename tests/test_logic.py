@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph
-from oracles import codegen_eval, ground_eval, random_formula, random_structure
+from oracles import (brute_metrics, codegen_eval, ground_eval, random_formula,
+                     random_structure)
 
 from fid.errors import FormulaTooLarge, InputError
 from fid.structures import (GRAPH_VOCAB, enumerate_structures,
@@ -16,6 +18,8 @@ from fid.logic import (FALSE, TRUE, And, Eq, Exists, ForAll, Not, Or, Rel,
                        evaluate, exists_block,
                        forall_block, format_formula, guard_nodes, implies,
                        iso_formula, metrics, node_count, parse_formula)
+
+MIXED_VOCAB = parse_vocab_spec("P/1 E/2 T/3")
 
 
 def test_metrics_atomic():
@@ -71,6 +75,22 @@ def test_alternation_bounded_by_rank():
         assert m.alt <= m.qr
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([GRAPH_VOCAB, MIXED_VOCAB]), st.integers(0, 4),
+       st.lists(st.booleans(), max_size=3), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_metrics_match_brute(vocab, max_qr, prefix, negated, rng):
+    # a quantifier prefix over a random body: prenex when the body is
+    # quantifier-free, non-prenex otherwise or when negated as a whole
+    free = tuple(f"p{i}" for i in range(len(prefix)))
+    phi = random_formula(vocab, rng, max_qr=max_qr, free=free)
+    for var, existential in zip(reversed(free), reversed(prefix)):
+        phi = Exists(var, phi) if existential else ForAll(var, phi)
+    if negated:
+        phi = Not(phi)
+    assert dataclasses.asdict(metrics(phi)) == brute_metrics(phi)
+
+
 def test_evaluate_completeness(k3, p3):
     complete = forall_block(["x", "y"], implies(Not(Eq("x", "y")), Rel("E", ("x", "y"))))
     assert evaluate(k3, complete)
@@ -115,9 +135,6 @@ def test_compile_eval_matches_evaluate():
         assert codegen_eval(phi, GRAPH_VOCAB)(s) == want
         assert compile_eval(phi, GRAPH_VOCAB)(s) == want
         assert evaluate(s, phi) == want
-
-
-MIXED_VOCAB = parse_vocab_spec("P/1 E/2 T/3")
 
 
 @settings(max_examples=120, deadline=None)
@@ -166,6 +183,28 @@ def test_compile_bits_matches_evaluate(vocab, n, max_qr, rng):
         assert bool(sat >> r & 1) == want
 
 
+def test_compiled_check_keeps_no_state():
+    # one compiled check, run on two orders, on several free values and
+    # after a failed call, answers as a fresh compile and ground_eval do
+    rng = random.Random(41)
+    free = ("v0", "v1")
+    for vocab in (GRAPH_VOCAB, MIXED_VOCAB):
+        for _ in range(20):
+            phi = random_formula(vocab, rng, free=free)
+            check = compile_bits(phi, vocab, free)
+            for n in (3, 2, 3):
+                structs = [random_structure(vocab, n, rng, rng.random())
+                           for _ in range(rng.randrange(1, 6))]
+                slices = bit_slices(vocab, n, structs)
+                for values in ((0, n - 1), (n - 1, 0), (1, 1)):
+                    env = dict(zip(free, values))
+                    want = sum(ground_eval(s, phi, env) << r for r, s in enumerate(structs))
+                    assert check(slices, *values) == want
+                    assert compile_bits(phi, vocab, free)(slices, *values) == want
+                with pytest.raises(TypeError):
+                    check(slices, 0)
+
+
 def test_compile_bits_shadowing(k3, p3):
     # the third quantifier rebinds x; z must not take x's place
     phi = Exists("x", Exists("y", Exists("x", ForAll("z", Or((
@@ -209,6 +248,8 @@ def test_iso_formula_unary_free():
     assert evaluate(graph(2, []), phi, {"x1": 0})
     with pytest.raises(InputError):
         iso_formula(single, [0, 0])
+    with pytest.raises(InputError, match="needs as many variables"):
+        iso_formula(graph(2, []), [0, 1], ["x1"])
 
 
 def test_node_guard():

@@ -10,7 +10,7 @@ from fid import verification
 from fid.errors import InputError
 from fid.structures import (GRAPH_VOCAB, Vocabulary, enumerate_structures,
                             parse_vocab_spec)
-from fid.logic import TRUE, Exists, Or, Rel, evaluate, parse_formula
+from fid.logic import TRUE, And, Exists, Or, Rel, evaluate, parse_formula
 from fid.synthesis import (exceptional_graph_formula, synth_auto, synth_graph,
                            synth_naive_define, synth_naive_identify, synth_sigma)
 from fid.games import identification_rank
@@ -207,6 +207,8 @@ def test_defines_up_to_matches_brute():
     (Rel("Q", ("x",)), "unknown symbol 'Q'"),
     (Exists("x", Rel("E", ("x",))), "E expects arity 2, got 1"),
     (Rel("E", ("x", "y")), "unbound variable 'x'"),
+    # two faults: the depth-first walk meets the arity error first
+    (Exists("x", And((Rel("E", ("x",)), Rel("Q", ("x",))))), "E expects arity 2, got 1"),
 ])
 def test_malformed_branch_raises_when_skipped(k3, bad, message):
     # the TRUE disjunct settles every rival, so a run never reaches `bad`
