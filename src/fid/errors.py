@@ -24,3 +24,10 @@ class FormulaTooLarge(CapExceeded):
 class UnsupportedPosition(FidError):
     """The phased Spoiler strategy hit the one-useful-class exception
     on structures of different orders, where its bound may legitimately fail."""
+
+
+def check(ok: bool, message: str):
+    """A self-audit that also holds under python -O: raise FidError with the
+    message unless `ok`."""
+    if not ok:
+        raise FidError(message)

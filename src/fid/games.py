@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .equivalences import base_decomposition, classes_of
-from .errors import CapExceeded, FidError, InputError, UnsupportedPosition
+from .errors import (CapExceeded, FidError, InputError, UnsupportedPosition,
+                     check)
 from .structures import (Structure, _mask_of, canonical_key,
                          enumerate_structures, is_partial_isomorphism,
                          isomorphic, violated_tuple)
@@ -47,12 +48,6 @@ def _extend(seq1, seq2, side: int, elem: int, reply: int):
     if side == 0:
         return seq1 + (elem,), seq2 + (reply,)
     return seq1 + (reply,), seq2 + (elem,)
-
-
-def _check(ok: bool, message: str):
-    """A self-audit of the phased strategy that also holds under python -O."""
-    if not ok:
-        raise FidError(message)
 
 
 class _TypeTable:
@@ -491,8 +486,8 @@ class PhasedSpoiler:
         """Compute the layer-i partial isomorphism and check its structure."""
         if i == 1:
             phi = {a: b for a, b in zip(self.seq1, self.seq2) if a in self._layer(1)}
-            _check(set(phi) == set(self._layer(1)),
-                   "phase 1: the pebbles do not cover layer 1")
+            check(set(phi) == set(self._layer(1)),
+                  "phase 1: the pebbles do not cover layer 1")
         else:
             prev = self.phis[i - 1]
             phi = dict(prev)
@@ -506,24 +501,24 @@ class PhasedSpoiler:
             pairing = self._pair_classes(prev, small1, small2)
             for cls in small1:
                 partner = pairing.get(cls, ())
-                _check(len(partner) == len(cls), f"phase {i}: small-class "
-                       "correspondence failed despite quiet lookahead")
+                check(len(partner) == len(cls), f"phase {i}: small-class "
+                      "correspondence failed despite quiet lookahead")
                 image = [pebbled[e] for e in cls[:-1]]
-                _check(all(b in partner for b in image), f"phase {i}: pebbled "
-                       "class members strayed from the partner class")
+                check(all(b in partner for b in image), f"phase {i}: pebbled "
+                      "class members strayed from the partner class")
                 leftover = [b for b in partner if b not in image]
-                _check(len(leftover) == 1, f"phase {i}: the partner class "
-                       f"leaves {len(leftover)} members unpebbled, not 1")
+                check(len(leftover) == 1, f"phase {i}: the partner class "
+                      f"leaves {len(leftover)} members unpebbled, not 1")
                 for e in cls[:-1]:
                     phi[e] = pebbled[e]
                 phi[cls[-1]] = leftover[0]
             for a, b in pebbled.items():
                 if a in self._layer(i) and a not in phi:
                     phi[a] = b
-            _check(set(phi) == set(self._layer(i)), f"phase {i}: the layer map "
-                   f"covers {sorted(phi)}, not layer {sorted(self._layer(i))}")
-            _check(is_partial_isomorphism(self.m1, self.m2, phi),
-                   f"phase {i}: layer extension is not a partial isomorphism")
+            check(set(phi) == set(self._layer(i)), f"phase {i}: the layer map "
+                  f"covers {sorted(phi)}, not layer {sorted(self._layer(i))}")
+            check(is_partial_isomorphism(self.m1, self.m2, phi),
+                  f"phase {i}: layer extension is not a partial isomorphism")
         self.phis.append(phi)
         self.completed = i
 
@@ -607,12 +602,12 @@ class PhasedSpoiler:
         if self.state == "recovery":
             rec = self.recovery
             qside, qelem, expected = rec.queue.pop(0)
-            _check((qside, qelem) == (side, elem), f"recovery: observed move "
-                   f"{(side, elem)} is not the queued {(qside, qelem)}")
+            check((qside, qelem) == (side, elem), f"recovery: observed move "
+                  f"{(side, elem)} is not the queued {(qside, qelem)}")
             if response != expected:
                 level = self.threat_level(*pair)
-                _check(level is not None and level < rec.level,
-                       "recovery: deviation did not lower the threat level")
+                check(level is not None and level < rec.level,
+                      "recovery: deviation did not lower the threat level")
                 self._start_recovery(level, pair)
             return
         if self.queue and self.queue[0][:2] == (side, elem):
@@ -705,8 +700,8 @@ class PhasedSpoiler:
 
         useful = [c for c in cls1 if len(pairing[c]) != len(c)]
         if not useful:
-            _check(self.n == self.m2.order, "conclusion: a perfect "
-                   "size-preserving pairing needs equal orders")
+            check(self.n == self.m2.order, "conclusion: a perfect "
+                  "size-preserving pairing needs equal orders")
             self._enqueue_upsilon(pairing)
             return
         if len(useful) == 1 and self.n < self.m2.order:
@@ -731,8 +726,8 @@ class PhasedSpoiler:
             for src, dst in zip(sorted(partner), sorted(cls)):
                 if src not in back:
                     back[src] = dst
-        _check(len(back) == self.m2.order, "conclusion: the upsilon extension "
-               "is not total")
+        check(len(back) == self.m2.order, "conclusion: the upsilon extension "
+              "is not total")
         found = violated_tuple(self.m2, self.m1, {e: back[e] for e in sorted(back)})
         if found is None:
             raise FidError("conclusion: class-respecting extension turned out "
@@ -740,5 +735,5 @@ class PhasedSpoiler:
         _, witness = found
         pebbled2 = set(self.seq2)
         self.queue = [(1, e, None) for e in sorted(set(witness) - pebbled2)]
-        _check(bool(self.queue), "conclusion: the concluding witness is already "
-               "fully pebbled")
+        check(bool(self.queue), "conclusion: the concluding witness is already "
+              "fully pebbled")

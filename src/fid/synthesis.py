@@ -3,9 +3,9 @@
 Three prefix-class (existential-then-universal) constructions driven by the
 structure's invariants -- the largest similarity class, a fineness-1 base
 from a delta witness, and an arbitrary base -- plus the naive existential
-formulas, a combined selector with its budget assertion, the graph pipeline
-with its one exceptional order-5 graph, and the two adversary constructions
-that defeat under-quantified formulas.
+formulas, one route selector shared by the combined selector and the graph
+pipeline (with its one exceptional order-5 graph), and the two adversary
+constructions that defeat under-quantified formulas.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
 
-from .equivalences import (base_decomposition, classes_of, is_base,
+from .equivalences import (base_decomposition, classes_of, fineness, is_base,
                            sim_classes, transform_e)
-from .errors import FormulaTooLarge, InputError
-from .invariants import (DEFAULT_DELTA_CAP, best_delta, bs_budget,
-                         rho_of_base, sigma)
+from .errors import FidError, FormulaTooLarge, InputError, check
+from .invariants import (DEFAULT_DELTA_CAP, best_delta, bs_budget, gen_gm,
+                         rho, rho_of_base, sigma)
 from .logic import (DEFAULT_NODE_CEILING, TRUE, And, Eq, Exists, ForAll,
                     Formula, FormulaMetrics, Not, Or, Rel, compile_eval, conj,
                     disj, dist_formula, exists_block, forall_block,
@@ -36,10 +38,10 @@ class SynthesisResult:
     claimed_bound: int
 
     def __post_init__(self):
-        assert self.metrics.quantifiers <= self.claimed_bound, \
-            f"{self.method}: {self.metrics.quantifiers} quantifiers exceed " \
-            f"claimed bound {self.claimed_bound}"
-        assert self.metrics.is_bs, f"{self.method}: formula left the prefix class"
+        check(self.metrics.quantifiers <= self.claimed_bound,
+              f"{self.method}: {self.metrics.quantifiers} quantifiers exceed "
+              f"claimed bound {self.claimed_bound}")
+        check(self.metrics.is_bs, f"{self.method}: formula left the prefix class")
 
 
 def _result(formula: Formula, method: str, claimed: int) -> SynthesisResult:
@@ -131,9 +133,8 @@ def synth_rho(struct: Structure, base: frozenset[int] | None = None,
               ceiling: int = DEFAULT_NODE_CEILING) -> SynthesisResult:
     """Base-driven identification with |B| + max{f(B)+1, k} quantifiers,
     falling back to the naive diagram when that is no better than n."""
-    from .invariants import rho as rho_min
     if base is None:
-        picked = rho_min(struct, cap)
+        picked = rho(struct, cap)
         base, value, q = picked.base, picked.value, max(
             picked.fineness + 1, struct.vocab.max_arity)
     else:
@@ -156,66 +157,69 @@ def synth_delta(struct: Structure, cap: int = DEFAULT_DELTA_CAP,
     value, witness, _ = best_delta(struct, cap)
     base = frozenset(struct.universe()) - witness.distinct
     if len(base) < n:
-        from .equivalences import fineness
-        assert fineness(struct, base) == 1, "delta-witness complement is not fineness-1"
+        check(fineness(struct, base) == 1, "delta-witness complement is not fineness-1")
     return _rho_formula(struct, base, k, "delta", n + k - value, ceiling)
 
 
-_METHOD_ORDER = {"sigma": 0, "delta": 1, "rho": 2, "naive-id": 3}
-
-
-def _auto_options(struct: Structure, cap: int, ceiling: int):
-    """(predicted total, tie rank, builder) per applicable route. The totals
-    are determined by the invariants, so losing routes are never built."""
-    from .invariants import rho as rho_min
+def _build_best(struct: Structure, cap: int, ceiling: int, rho_bases,
+                limit: int) -> SynthesisResult:
+    """Build the route with the fewest quantifiers: sigma, delta, rho on each
+    of `rho_bases`, then the naive diagram, ties to the earlier route. Every
+    count is fixed by the invariants, so only the winner is built; a route
+    over the node ceiling falls through to the next, and routes predicted
+    above `limit` are never tried."""
     n = struct.order
     k = struct.vocab.max_arity
-    options = []
+    routes = []
     sig = sigma(struct)[0]
     if sig >= k + 1:
-        options.append((n + k - sig, 0, lambda: synth_sigma(struct)))
+        routes.append((n + k - sig, partial(synth_sigma, struct)))
     if k >= 2:
-        delta_value, _, _ = best_delta(struct, cap)
-        cost = n - delta_value + k
-        options.append((cost if cost < n else n, 1,
-                        lambda: synth_delta(struct, cap, ceiling)))
-    constructed = base_decomposition(struct).base
-    cost = rho_of_base(struct, constructed).value
-    options.append((cost if cost < n else n, 2,
-                    lambda: synth_rho(struct, constructed, cap, ceiling)))
-    cost = rho_min(struct, cap).value
-    options.append((cost if cost < n else n, 3,
-                    lambda: synth_rho(struct, None, cap, ceiling)))
-    options.append((n, 4, lambda: synth_naive_identify(struct)))
-    options.sort(key=lambda t: t[:2])
-    return options
+        routes.append((min(n + k - best_delta(struct, cap)[0], n),
+                       partial(synth_delta, struct, cap, ceiling)))
+    for base in rho_bases:
+        picked = rho_of_base(struct, base)
+        routes.append((min(picked.value, n),
+                       partial(_rho_formula, struct, base, max(picked.fineness + 1, k),
+                               "rho", picked.value, ceiling)))
+    routes.append((n, partial(synth_naive_identify, struct)))
+    routes.sort(key=itemgetter(0))
+    too_large = None
+    for predicted, build in routes:
+        if predicted > limit:
+            break
+        try:
+            best = build()
+        except FormulaTooLarge as exc:
+            too_large = exc
+            continue
+        check(best.metrics.quantifiers == predicted,
+              f"{best.method}: predicted {predicted}, built {best.metrics.quantifiers}")
+        return best
+    if too_large is not None:
+        raise too_large
+    raise FidError(f"budget violation: no route within {limit} quantifiers "
+                   f"at order {n}")
 
 
 def synth_auto(struct: Structure, cap: int = DEFAULT_DELTA_CAP,
                ceiling: int = DEFAULT_NODE_CEILING) -> SynthesisResult:
     """Best of the three constructions plus the naive diagram, by total
-    quantifier count. Asserts the combined budget: strictly below
+    quantifier count. Checks the combined budget: strictly below
     (1 - 1/(2k^2+2))n + k for k >= 2, and at most n/2 + 1 for k = 1."""
     n = struct.order
     k = struct.vocab.max_arity
-    best = None
-    for predicted, _, build in _auto_options(struct, cap, ceiling):
-        try:
-            best = build()
-        except FormulaTooLarge:
-            continue  # the next route fits; the budget assert still guards
-        assert best.metrics.quantifiers == predicted, \
-            f"{best.method}: predicted {predicted}, built {best.metrics.quantifiers}"
-        break
-    assert best is not None, "every synthesis route exceeded the node ceiling"
     budget = bs_budget(n, k)
-    total = best.metrics.quantifiers
     if k >= 2:
-        assert total < budget, f"budget violation: {total} quantifiers, budget {budget}"
         claimed = int(budget) - 1 if budget == int(budget) else int(budget)
     else:
-        assert total <= budget, f"budget violation: {total} quantifiers, budget {budget}"
         claimed = int(budget)
+    best = _build_best(struct, cap, ceiling,
+                       (base_decomposition(struct).base, rho(struct, cap).base),
+                       claimed)
+    total = best.metrics.quantifiers
+    check(total < budget if k >= 2 else total <= budget,
+          f"budget violation: {total} quantifiers, budget {budget}")
     return SynthesisResult(best.formula, "auto", best.metrics, claimed)
 
 
@@ -269,6 +273,12 @@ def synth_graph(struct: Structure, cap: int = DEFAULT_DELTA_CAP,
     construction, which for order at least 5 stays within n-1 quantifiers, at
     most two of them universal.
 
+    The routes are sigma, delta, rho on the shell (the set grown by
+    transform_e plus its classes of at most three elements) and the naive
+    diagram. Rho on the shell takes max(f+1, 2) universals, f the shell's
+    fineness, so from order 5 on that route is left out when f >= 2, unless
+    it falls back to the naive diagram (no universals).
+
     The complement is exceptional for the same reason the graph itself is:
     the two invariants driving every route are complement-invariant, and
     exhaustive search over type sets shows no two-universal four-quantifier
@@ -288,38 +298,22 @@ def synth_graph(struct: Structure, cap: int = DEFAULT_DELTA_CAP,
     grown = transform_e(struct, frozenset())
     cls = classes_of(struct, grown, k + 1) if len(grown) < n else None
     if cls is not None:
-        assert len(classes_of(struct, grown)) >= len(grown) + 1, \
-            "class count fell below the growth guarantee"
+        check(len(classes_of(struct, grown)) >= len(grown) + 1,
+              "class count fell below the growth guarantee")
         shell = grown | frozenset(e for c in cls.classes for e in c)
     else:
         shell = grown
-    assert is_base(struct, shell), "grown set plus small classes is not a base"
-
-    candidates: list[SynthesisResult] = []
-    s = synth_sigma(struct)
-    if s is not None:
-        candidates.append(s)
-    d = synth_delta(struct, cap, ceiling)
-    if d is not None:
-        candidates.append(d)
-    try:
-        shell_rho = synth_rho(struct, shell, cap, ceiling)
-        if shell_rho.metrics.universals <= 2 or n <= 4:
-            candidates.append(shell_rho)
-    except FormulaTooLarge:
-        pass
-    candidates.append(synth_naive_identify(struct))
-    best = min(candidates,
-               key=lambda r: (r.metrics.quantifiers, _METHOD_ORDER[r.method]))
+    check(is_base(struct, shell), "grown set plus small classes is not a base")
+    shell_rho = rho_of_base(struct, shell)
+    two_universal = shell_rho.value >= n or shell_rho.fineness < 2 or n <= 4
+    budget = Fraction(3 * n, 4) + Fraction(3, 2)
+    claimed = n - 1 if n >= 5 else int(budget)
+    best = _build_best(struct, cap, ceiling, (shell,) if two_universal else (),
+                       claimed)
     total = best.metrics.quantifiers
-    assert Fraction(total) <= Fraction(3 * n, 4) + Fraction(3, 2), \
-        f"graph budget violation: {total} quantifiers at order {n}"
-    if n >= 5:
-        assert total <= n - 1 and best.metrics.universals <= 2, \
-            f"two-universal budget violation at order {n}: {best.metrics}"
-        claimed = n - 1
-    else:
-        claimed = int(Fraction(3 * n, 4) + Fraction(3, 2))
+    check(total <= budget, f"graph budget violation: {total} quantifiers at order {n}")
+    check(n < 5 or (total <= n - 1 and best.metrics.universals <= 2),
+          f"two-universal budget violation at order {n}: {best.metrics}")
     return SynthesisResult(best.formula, "graph", best.metrics, claimed)
 
 
@@ -373,7 +367,7 @@ def universal_deficit_adversary(struct: Structure, phi: Formula) -> Structure | 
             break
     if chosen is None:
         return None
-    assert len(outside) >= q + 1
+    check(len(outside) >= q + 1, "adversary: too few elements outside the witness")
     sym = next(i for i, (_, arity) in enumerate(struct.vocab.symbols) if arity == k)
     flipped = tuple(sorted(chosen))
     tables = [set(t) for t in struct.tables]
@@ -389,7 +383,6 @@ def gm_adversary(m: int, q: int, phi: Formula) -> Structure | None:
     universals and too few existentials, shift one vertex from a barely
     touched class into a heavily untouched one. The class profile changes
     (so the result is not isomorphic) but the formula cannot tell."""
-    from .invariants import gen_gm
     grid = gen_gm(m)
     split = _prenex_split(phi)
     if split is None:

@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from functools import lru_cache, partial
 
-from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, evaluate
+from fid.equivalences import classes_of, transform_e
+from fid.invariants import DEFAULT_DELTA_CAP
+from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, evaluate, metrics
 from fid.structures import (Structure, Vocabulary, _mask_of, canonical_key,
-                            enumerate_structures)
+                            enumerate_structures, graph_complement)
+from fid.synthesis import (SynthesisResult, complement_rewrite,
+                           exceptional_graph, exceptional_graph_formula,
+                           synth_delta, synth_naive_identify, synth_rho,
+                           synth_sigma)
 from fid.verification import VerificationVerdict
 
 
@@ -436,6 +443,44 @@ def brute_verify_defines_up_to(struct: Structure, phi, max_order: int,
             if checker(rival):
                 return VerificationVerdict(False, rival, checked, scope)
     return VerificationVerdict(True, None, checked, scope)
+
+
+# ---------------------------------------------------------------------------
+# Graph synthesis by building every route.
+# ---------------------------------------------------------------------------
+
+_ROUTE_ORDER = {"sigma": 0, "delta": 1, "rho": 2, "naive-id": 3}
+
+
+def brute_synth_graph(struct: Structure, cap: int = DEFAULT_DELTA_CAP):
+    """`synth_graph` by building sigma, delta, rho on the shell and the naive
+    diagram in full and keeping the fewest quantifiers (ties in that order).
+    It shares the route builders with the library, not the selector: the
+    shell route is kept when its built formula has at most two universals."""
+    n = struct.order
+    if n == 5:
+        key = canonical_key(struct)
+        phi = exceptional_graph_formula()
+        if key == canonical_key(graph_complement(exceptional_graph())):
+            phi = complement_rewrite(phi)
+        elif key != canonical_key(exceptional_graph()):
+            phi = None
+        if phi is not None:
+            return SynthesisResult(phi, "graph", metrics(phi), 4)
+    grown = transform_e(struct, frozenset())
+    shell = grown
+    if len(grown) < n:
+        shell |= {e for c in classes_of(struct, grown, 3).classes for e in c}
+    candidates = [r for r in (synth_sigma(struct), synth_delta(struct, cap))
+                  if r is not None]
+    shell_rho = synth_rho(struct, shell, cap)
+    if shell_rho.metrics.universals <= 2 or n <= 4:
+        candidates.append(shell_rho)
+    candidates.append(synth_naive_identify(struct))
+    best = min(candidates,
+               key=lambda r: (r.metrics.quantifiers, _ROUTE_ORDER[r.method]))
+    claimed = n - 1 if n >= 5 else int(Fraction(3 * n, 4) + Fraction(3, 2))
+    return SynthesisResult(best.formula, "graph", best.metrics, claimed)
 
 
 # ---------------------------------------------------------------------------

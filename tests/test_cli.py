@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from oracles import random_graph
 
 import fid.games
 from fid.cli import main
@@ -74,6 +76,34 @@ def test_synth_methods(k3_file, capsys):
 
 def test_synth_inapplicable(h5_file, capsys):
     assert main(["synth", h5_file, "--method", "sigma"]) == 2
+
+
+def test_synth_auto_low_ceiling_exits_3(tmp_path, capsys):
+    # Every route under the budget needs nodes; the naive diagram's 20
+    # quantifiers exceed the budget, so it is never built.
+    path = tmp_path / "g20.fos"
+    path.write_text(format_fos(random_graph(20, random.Random(0)), graph=True))
+    assert main(["synth", str(path), "--method", "auto", "--node-ceiling", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: ") and "ceiling is 0" in err
+
+
+def test_synth_graph_low_ceiling(tmp_path, capsys):
+    # A triangle, a disjoint edge and an isolated vertex: sigma needs no
+    # nodes beyond its formula, so the oversized delta route is skipped.
+    built = tmp_path / "g6.fos"
+    built.write_text("vocab E/2\norder 6\ngraph\nE 0 4\nE 1 2\nE 1 3\nE 2 3\n")
+    assert main(["--json", "synth", str(built), "--method", "graph"]) == 0
+    default = capsys.readouterr().out
+    assert main(["--json", "synth", str(built), "--method", "graph",
+                 "--node-ceiling", "0"]) == 0
+    assert capsys.readouterr().out == default
+    # Two disjoint edges: every route within n-1 quantifiers needs nodes.
+    failed = tmp_path / "e6.fos"
+    failed.write_text("vocab E/2\norder 6\ngraph\nE 0 3\nE 1 2\n")
+    assert main(["synth", str(failed), "--method", "graph", "--node-ceiling", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: ") and "ceiling is 0" in err
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):

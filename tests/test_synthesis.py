@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from conftest import graph
-from oracles import random_graph
+from oracles import brute_synth_graph, random_graph
 
 from fid.errors import InputError
 from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, canonical_form,
@@ -12,7 +12,8 @@ from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, canonical_form,
                             find_isomorphism, graph_complement)
 from fid.equivalences import sim_classes
 from fid.invariants import bs_budget, gen_gm, rho, sigma
-from fid.logic import TRUE, compile_eval, evaluate, exists_block, forall_block, metrics
+from fid.logic import (TRUE, compile_eval, evaluate, exists_block, forall_block,
+                       format_formula, metrics)
 
 
 def fast_true(struct, formula):
@@ -178,6 +179,17 @@ def test_graph_pipeline_budgets():
             assert Fraction(m.quantifiers) <= Fraction(3 * n, 4) + Fraction(3, 2)
             if n >= 5 and canonical_form(struct) not in pair:
                 assert m.quantifiers <= n - 1 and m.universals <= 2
+
+
+def test_graph_selector_matches_brute():
+    # Every graph of order <= 6 and every fifth order-7 graph: predicting
+    # the winner picks what building every route and taking the least does.
+    corpus = [s for n in range(1, 7) for s in all_graphs(n)] + all_graphs(7)[::5]
+    for struct in corpus:
+        got, want = synth_graph(struct), brute_synth_graph(struct)
+        assert (got.method, got.metrics, got.claimed_bound) == \
+            (want.method, want.metrics, want.claimed_bound)
+        assert format_formula(got.formula) == format_formula(want.formula)
 
 
 def test_graph_pipeline_order4_one_edge():
