@@ -1,12 +1,22 @@
 """Similarity, conditional equivalences, their partitions, the two
 set-growing transformations, and the layered base decomposition.
 
-All relations here are tuple-table checks over small element sets; binary and
-unary symbols take a bitmask fast path since the corpus is dominated by
-(di)graphs. The decomposition function audits its own structural guarantees
-on every call: the coincidence of the conditional equivalences with
-similarity outside the base, and the two counting inequalities that all the
-quantifier budgets downstream rely on.
+Conditional equivalence is decided once, by a per-element signature: the
+truth of every symbol on the tuples over X + {a} that use a. For binary
+symbols that is a's out- and in-row restricted to X plus its loop bit, read
+from the bitmask rows, since the corpus is dominated by (di)graphs. a and b
+are equivalent conditioned on X exactly when their signatures are equal, so
+C(X) groups the complement of X by signature.
+
+Similar elements are equivalent under every X that contains neither of them,
+so a union of C(X) classes is never finer than similarity on the elements it
+covers. It equals similarity there exactly when it has as many classes as
+there are similarity classes meeting those elements. `is_base` and the
+residue audits of the decomposition compare these two counts instead of
+testing every pair. The decomposition function audits its own structural
+guarantees on every call: the coincidence of the conditional equivalences
+with similarity outside the base, and the two counting inequalities that all
+the quantifier budgets downstream rely on.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, check
 from .structures import (Structure, is_partial_isomorphism, memoized,
                          violated_tuple)
 
@@ -48,7 +58,8 @@ class Partition:
 
 def _build_partition(elements, same) -> Partition:
     """Group `elements` by the equivalence `same`, comparing against one
-    representative per class (valid for genuine equivalence relations)."""
+    representative per class (valid for genuine equivalence relations).
+    Similarity is a property of pairs, so it has no per-element key."""
     reps: list[int] = []
     groups: list[list[int]] = []
     for e in sorted(elements):
@@ -74,6 +85,29 @@ def sim_classes(struct: Structure) -> Partition:
     return _build_partition(struct.universe(), lambda a, b: similar(struct, a, b))
 
 
+def _signature(struct: Structure, cond):
+    """The signature under `cond`, as a function of an element a outside it:
+    the truth of every symbol on the tuples over sorted(cond) + [a] that use
+    a, in product order; for a binary symbol, a's out- and in-row masked to
+    cond and its loop bit."""
+    mask = sum(1 << x for x in cond)
+    ordered = sorted(cond)
+    symbols = [(arity, struct.tables[idx], arity == 2 and struct.binary_rows(idx))
+               for idx, (_, arity) in enumerate(struct.vocab.symbols)]
+
+    def of(a: int) -> tuple:
+        sig = []
+        for arity, table, rows in symbols:
+            if rows:
+                out, inn = rows
+                sig += (out[a] & mask, inn[a] & mask, (a, a) in table)
+            else:
+                sig += (tup in table for tup in itertools.product(ordered + [a], repeat=arity)
+                        if a in tup)
+        return tuple(sig)
+    return of
+
+
 def equiv_x(struct: Structure, cond: frozenset[int] | set[int], a: int, b: int) -> bool:
     """a and b are equivalent conditioned on X: the identity on X extended by
     a -> b preserves every relation on every tuple over X + {a}."""
@@ -81,71 +115,47 @@ def equiv_x(struct: Structure, cond: frozenset[int] | set[int], a: int, b: int) 
         raise InputError("conditioned elements must lie outside the condition set")
     if a == b:
         return True
-    for idx, (_, arity) in enumerate(struct.vocab.symbols):
-        table = struct.tables[idx]
-        if arity == 1:
-            if ((a,) in table) != ((b,) in table):
-                return False
-            continue
-        if arity == 2:
-            mask = 0
-            for x in cond:
-                mask |= 1 << x
-            out, inn = struct.binary_rows(idx)
-            if (out[a] & mask) != (out[b] & mask) or (inn[a] & mask) != (inn[b] & mask):
-                return False
-            if ((a, a) in table) != ((b, b) in table):
-                return False
-            continue
-        base = sorted(cond) + [a]
-        for tup in itertools.product(base, repeat=arity):
-            if a not in tup:
-                continue
-            swapped = tuple(b if e == a else e for e in tup)
-            if (tup in table) != (swapped in table):
-                return False
-    return True
+    sig = _signature(struct, cond)
+    return sig(a) == sig(b)
 
 
 def approx_x(struct: Structure, cond: frozenset[int] | set[int], a: int, b: int) -> bool:
     """The transposition (a b) is an automorphism of the substructure induced
-    on X + {a, b}. Strictly stronger than equiv_x."""
+    on X + {a, b}. Strictly stronger than equiv_x, which covers the tuples
+    that use a alone; those that use b alone are their images under the swap,
+    so only the tuples that use both are left to check."""
     if a == b:
         raise InputError("approx_x needs two distinct elements")
-    if a in cond or b in cond:
-        raise InputError("conditioned elements must lie outside the condition set")
+    if not equiv_x(struct, cond, a, b):
+        return False
+    swap = {a: b, b: a}
+    base = sorted(cond) + [a, b]
     for idx, (_, arity) in enumerate(struct.vocab.symbols):
         table = struct.tables[idx]
-        if arity == 1:
-            if ((a,) in table) != ((b,) in table):
-                return False
-            continue
-        if arity == 2:
-            mask = 0
-            for x in cond:
-                mask |= 1 << x
-            out, inn = struct.binary_rows(idx)
-            if (out[a] & mask) != (out[b] & mask) or (inn[a] & mask) != (inn[b] & mask):
-                return False
-            if ((a, a) in table) != ((b, b) in table):
-                return False
-            if ((a, b) in table) != ((b, a) in table):
-                return False
-            continue
-        base = sorted(cond) + [a, b]
         for tup in itertools.product(base, repeat=arity):
-            if a not in tup and b not in tup:
-                continue
-            swapped = tuple(b if e == a else a if e == b else e for e in tup)
-            if (tup in table) != (swapped in table):
+            if a in tup and b in tup and \
+                    (tup in table) != (tuple(swap.get(e, e) for e in tup) in table):
                 return False
     return True
 
 
 @memoized
 def _classes(struct: Structure, cond: frozenset[int]) -> Partition:
-    rest = [e for e in struct.universe() if e not in cond]
-    return _build_partition(rest, lambda a, b: equiv_x(struct, cond, a, b))
+    sig = _signature(struct, cond)
+    groups: dict[tuple, list[int]] = {}
+    for e in struct.universe():
+        if e not in cond:
+            groups.setdefault(sig(e), []).append(e)
+    return Partition(tuple(map(tuple, groups.values())))
+
+
+def _like_similarity(struct: Structure, classes) -> bool:
+    """Whether `classes`, whole classes of one C(X), are exactly the
+    similarity classes on the elements they cover. They are never finer, so
+    equal counts decide it."""
+    covered = {e for cls in classes for e in cls}
+    return len(classes) == sum(not covered.isdisjoint(cls)
+                               for cls in sim_classes(struct).classes)
 
 
 def classes_of(struct: Structure, cond, max_size: int | None = None) -> Partition:
@@ -199,12 +209,11 @@ def transform_e(struct: Structure, cond) -> frozenset[int]:
         if grown is None:
             break
         current = grown
-    else:
-        raise AssertionError("transform_e failed to reach a fixed point")
+    check(grown is None, f"transform_e: no fixed point within {struct.order + 1} steps")
     k = struct.vocab.max_arity
     new_classes = set(_classes(struct, current).classes) - set(_classes(struct, cond).classes)
-    assert len(current - cond) <= (k - 1) * len(new_classes), \
-        "expansion bound violated: transform_e grew faster than its class gain"
+    check(len(current - cond) <= (k - 1) * len(new_classes),
+          "transform_e: expansion bound violated, the set grew faster than its class gain")
     return current
 
 
@@ -223,20 +232,14 @@ class BaseDecomposition:
         return self.x[-1]
 
 
-def _class_count(struct: Structure, cond: frozenset[int], max_size: int | None = None) -> int:
-    if len(cond) == struct.order:
-        return 0
-    part = _classes(struct, cond)
-    if max_size is not None:
-        part = part.restrict(max_size)
-    return len(part)
-
-
 def counting_terms(struct: Structure, decomp: BaseDecomposition) -> dict:
-    """The quantities entering the two counting inequalities."""
+    """The quantities entering the two counting inequalities, and whether
+    each holds. The halved one is claimed for k >= 2 only, and is strict only
+    at a non-empty residue: with Z empty every chained estimate can be tight
+    (complete graphs of order k+1 attain equality)."""
     k, n = decomp.k, struct.order
-    small = [_class_count(struct, decomp.x[i], k + 1) for i in range(k)]
-    full_k = _class_count(struct, decomp.x[k - 1])
+    small = [len(_classes(struct, decomp.x[i]).restrict(k + 1)) for i in range(k)]
+    full_k = len(_classes(struct, decomp.x[k - 1]))
     zs = len(decomp.z)
     a0_lhs = 2 * k * sum(small[:-1]) + (k + 1) * small[-1] + (k - 1) * full_k + zs
     a0_rhs = n + k - 1
@@ -248,6 +251,8 @@ def counting_terms(struct: Structure, decomp: BaseDecomposition) -> dict:
         "z_size": zs,
         "a0": (a0_lhs, a0_rhs),
         "b0": (b0_lhs, b0_rhs),
+        "a0_holds": a0_lhs >= a0_rhs,
+        "b0_holds": b0_lhs > b0_rhs if zs else b0_lhs >= b0_rhs,
     }
 
 
@@ -267,9 +272,7 @@ def base_decomposition(struct: Structure) -> BaseDecomposition:
     prev_y: frozenset[int] = frozenset()
     for _ in range(k):
         xi = transform_e(struct, prev_x | prev_y)
-        small = _classes(struct, xi).restrict(k + 1) if len(xi) < struct.order \
-            else Partition(())
-        yi = frozenset(e for cls in small.classes for e in cls)
+        yi = _classes(struct, xi).restrict(k + 1).support
         xs.append(xi)
         ys.append(yi)
         prev_x, prev_y = xi, yi
@@ -277,47 +280,31 @@ def base_decomposition(struct: Structure) -> BaseDecomposition:
     z = frozenset(struct.universe()) - xs[-1]
     decomp = BaseDecomposition(tuple(xs), tuple(ys), z, k)
 
+    stage = f"base decomposition (order {struct.order})"
     for i in range(k):
-        assert xs[i] <= xs[i + 1], "layer chain is not increasing"
-    for i in range(k):
-        for j in range(i + 1, k):
-            assert not (ys[i] & ys[j]), "small-class layers overlap"
-
-    z_list = sorted(z)
-    for ai in range(len(z_list)):
-        for bi in range(ai + 1, len(z_list)):
-            a, b = z_list[ai], z_list[bi]
-            sim = similar(struct, a, b)
-            assert equiv_x(struct, xs[k - 1], a, b) == sim, \
-                "conditional equivalence at X_k deviates from similarity on Z"
-            assert equiv_x(struct, xs[k], a, b) == sim, \
-                "conditional equivalence at the base deviates from similarity on Z"
+        check(xs[i] <= xs[i + 1], f"{stage}: layer chain is not increasing at X_{i + 1}")
+    for i, j in itertools.combinations(range(k), 2):
+        check(not (ys[i] & ys[j]), f"{stage}: small-class layers Y_{i + 1} and Y_{j + 1} overlap")
+    # Z, the complement of X_{k+1}, is also the union of the large classes at X_k.
+    large = [c for c in _classes(struct, xs[k - 1]).classes if len(c) > k + 1]
+    check(_like_similarity(struct, large),
+          f"{stage}: conditional equivalence at X_k deviates from similarity on Z")
+    check(is_base(struct, xs[k]),
+          f"{stage}: conditional equivalence at the base deviates from similarity on Z")
 
     counts = counting_terms(struct, decomp)
-    a0_lhs, a0_rhs = counts["a0"]
-    assert a0_lhs >= a0_rhs, f"counting inequality (weighted) failed: {a0_lhs} < {a0_rhs}"
-    if k >= 2:
-        b0_lhs, b0_rhs = counts["b0"]
-        # Non-strict at Z = 0: every chained estimate can be tight then
-        # (complete graphs of order k+1 attain equality).
-        if len(z) > 0:
-            assert b0_lhs > b0_rhs, f"counting inequality (halved) failed: {b0_lhs} <= {b0_rhs}"
-        else:
-            assert b0_lhs >= b0_rhs, f"counting inequality (halved) failed: {b0_lhs} < {b0_rhs}"
+    (a0_lhs, a0_rhs), (b0_lhs, b0_rhs) = counts["a0"], counts["b0"]
+    check(counts["a0_holds"],
+          f"{stage}: counting inequality (weighted) failed: {a0_lhs} < {a0_rhs}")
+    check(k < 2 or counts["b0_holds"], f"{stage}: counting inequality (halved) failed "
+          f"at |Z| = {len(z)}: {b0_lhs} against {b0_rhs}")
     return decomp
 
 
 def is_base(struct: Structure, candidate) -> bool:
     """A set is a base when conditioning on it separates exactly the
     non-similar pairs outside it."""
-    candidate = frozenset(candidate)
-    rest = [e for e in struct.universe() if e not in candidate]
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            a, b = rest[i], rest[j]
-            if equiv_x(struct, candidate, a, b) != similar(struct, a, b):
-                return False
-    return True
+    return _like_similarity(struct, _classes(struct, frozenset(candidate)).classes)
 
 
 def fineness(struct: Structure, base: frozenset[int]) -> int:

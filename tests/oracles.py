@@ -90,6 +90,12 @@ def brute_approx_x(struct: Structure, cond, a: int, b: int) -> bool:
     return True
 
 
+def brute_is_base(struct: Structure, cand) -> bool:
+    rest = [e for e in range(struct.order) if e not in set(cand)]
+    return all(brute_equiv_x(struct, cand, a, b) == brute_similar(struct, a, b)
+               for a, b in itertools.combinations(rest, 2))
+
+
 def brute_classes(struct: Structure, cond) -> list[tuple[int, ...]]:
     rest = [e for e in range(struct.order) if e not in set(cond)]
     classes: list[list[int]] = []

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import graph
 from oracles import (brute_approx_x, brute_classes, brute_equiv_x,
-                     brute_similar, random_graph, random_structure)
+                     brute_is_base, brute_similar, random_graph,
+                     random_structure)
 
 from fid.errors import InputError
 from fid.structures import GRAPH_VOCAB, enumerate_structures, parse_vocab_spec
@@ -17,6 +18,19 @@ from fid.equivalences import (base_decomposition, classes_of, counting_terms,
 def all_small_graphs(max_order):
     for n in range(1, max_order + 1):
         yield from enumerate_structures(GRAPH_VOCAB, n, graph_mode=True)
+
+
+def mixed_arity_structures(seed, count=15):
+    """Random order-4 P/1 E/2 T/3 structures, reaching the unary and
+    general-arity branches; sparse tables keep equivalent pairs common."""
+    rng = random.Random(seed)
+    mixed = parse_vocab_spec("P/1 E/2 T/3")
+    return [random_structure(mixed, 4, rng, rng.random() ** 3) for _ in range(count)]
+
+
+def proper_subsets(n):
+    for size in range(n):
+        yield from itertools.combinations(range(n), size)
 
 
 def test_similar_examples(p3, k3, h5):
@@ -77,15 +91,14 @@ def test_approx_x_follows_the_induced_substructure(p3, edge2):
 
 def test_conditional_equivalences_match_oracle():
     rng = random.Random(31)
-    for _ in range(25):
-        s = random_structure(GRAPH_VOCAB, 4, rng)
-        for size in range(3):
-            for cond in itertools.combinations(range(4), size):
-                rest = [e for e in range(4) if e not in cond]
-                for a, b in itertools.combinations(rest, 2):
-                    cond_f = frozenset(cond)
-                    assert equiv_x(s, cond_f, a, b) == brute_equiv_x(s, cond, a, b)
-                    assert approx_x(s, cond_f, a, b) == brute_approx_x(s, cond, a, b)
+    cases = [random_structure(GRAPH_VOCAB, 4, rng) for _ in range(25)]
+    for s in cases + mixed_arity_structures(37):
+        for cond in proper_subsets(4):
+            rest = [e for e in range(4) if e not in cond]
+            for a, b in itertools.combinations(rest, 2):
+                cond_f = frozenset(cond)
+                assert equiv_x(s, cond_f, a, b) == brute_equiv_x(s, cond, a, b)
+                assert approx_x(s, cond_f, a, b) == brute_approx_x(s, cond, a, b)
 
 
 def test_approx_implies_equiv():
@@ -110,12 +123,19 @@ def test_classes_of_examples(p3, k3, h5):
 
 def test_classes_match_oracle():
     rng = random.Random(41)
-    for _ in range(20):
-        s = random_structure(GRAPH_VOCAB, 4, rng)
-        for size in range(3):
-            for cond in itertools.combinations(range(4), size):
-                got = [tuple(c) for c in classes_of(s, cond).classes]
-                assert got == brute_classes(s, cond)
+    cases = [random_structure(GRAPH_VOCAB, 4, rng) for _ in range(20)]
+    for s in cases + mixed_arity_structures(43):
+        for cond in proper_subsets(4):
+            got = [tuple(c) for c in classes_of(s, cond).classes]
+            assert got == brute_classes(s, cond)
+
+
+def test_is_base_matches_oracle():
+    cases = list(all_small_graphs(5)) + mixed_arity_structures(47)
+    for s in cases:
+        for size in range(s.order + 1):
+            for cond in itertools.combinations(range(s.order), size):
+                assert is_base(s, frozenset(cond)) == brute_is_base(s, cond)
 
 
 def test_refinement_under_growth():
