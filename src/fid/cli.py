@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success / verified, 1 verification failed (counterexample
-printed), 2 input error, 3 resource cap exceeded. All output goes to
-standard out, diagnostics to standard error; every command accepts --json
-for machine-readable output and is deterministic given identical inputs.
+printed), 2 input error, 3 resource cap exceeded, 4 internal error (a
+failed self-audit). All output goes to standard out, diagnostics to
+standard error; every command accepts --json for machine-readable output
+and is deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .equivalences import base_decomposition
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InternalError
 from .games import (DEFAULT_ROUND_CAP, distinguishing_rank,
                     distinguishing_rank_alt, identification_rank)
 from .invariants import (DEFAULT_DELTA_CAP, analyze, bound_report, gen_gm,
@@ -219,6 +220,19 @@ def _cmd_rank(args, config: CliConfig) -> int:
     return 0
 
 
+def _cmd_census(args, config: CliConfig) -> int:
+    vocab = parse_vocab_spec(args.vocab)
+    cap = args.max_rounds if args.max_rounds is not None else config.game_cap
+    values = [identification_rank(struct, args.alternations, cap, args.graphs)
+              for struct in enumerate_structures(vocab, args.order, args.graphs)]
+    payload = {"values": values, "alternations": args.alternations}
+    label = "I" if args.alternations is None else f"I^{args.alternations}"
+    _emit(payload, config, "\n".join(
+        f"{label} = {value}: {values.count(value)} of {len(values)}"
+        for value in sorted(set(values))))
+    return 0
+
+
 def _cmd_enumerate(args, config: CliConfig) -> int:
     vocab = parse_vocab_spec(args.vocab)
     count = 0
@@ -340,6 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=_at_least(0), default=None)
     p.set_defaults(run=_cmd_rank)
 
+    p = sub.add_parser("census", help="identification rank of every structure "
+                                      "of one order, counted by value")
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--graphs", action="store_true")
+    p.add_argument("--alternations", type=int, default=None)
+    p.add_argument("--max-rounds", type=_at_least(0), default=None)
+    p.set_defaults(run=_cmd_census)
+
     p = sub.add_parser("enumerate", help="structures up to isomorphism")
     p.add_argument("--vocab", required=True)
     p.add_argument("--order", type=int, required=True)
@@ -377,6 +400,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,12 +11,15 @@ type ids is a sound memo key, because the outcome from a live position is
 a function of the two tuples' types, the side played last, the switches
 spent and the rounds left: a type holds its own type_0 and the set of its
 children's types, which is all the recursion reads. Equal types are a
-finer collapse than orbits under automorphisms, and the memo is shared by
-every rival of one `identification_rank` call. One reply test decides
-every move on elements: a pebbled element must be answered by its partner,
-a fresh one by an unpebbled element that breaks no tuple through the new
-pair (`violated_tuple`). The test suite checks the replies, the values and
-the winning moves against independent oracles in tests/oracles.py.
+finer collapse than orbits under automorphisms, and the memo is shared
+across calls of one corpus: `identification_rank` keeps the rivals of the
+last (vocabulary, order, graph mode) whose corpus is small enough, and one
+type table for them, so calls that share a corpus must not run in two
+threads at once. One reply test decides every move on elements: a pebbled
+element must be answered by its partner, a fresh one by an unpebbled
+element that breaks no tuple through the new pair (`violated_tuple`). The
+test suite checks the replies, the values and the winning moves against
+independent oracles in tests/oracles.py.
 
 The phased strategy is a stateful move generator: it pins the decomposition
 layers of the smaller structure, watches for threatening pairs, recovers
@@ -27,13 +30,14 @@ how the class partitions of the two structures line up.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .equivalences import base_decomposition, classes_of
 from .errors import (CapExceeded, FidError, InputError, UnsupportedPosition,
                      check)
-from .structures import (Structure, _mask_of, canonical_key,
+from .structures import (Structure, _bit_layout, _mask_of, canonical_key,
                          enumerate_structures, is_partial_isomorphism,
                          isomorphic, violated_tuple)
 # bench/tracing.py wraps this name; a missing one marks a traced run incorrect.
@@ -285,23 +289,64 @@ def _root_value(m1: Structure, m2: Structure, max_rounds: int,
     return solver.position_rank((), (), max_rounds, budget=budget)
 
 
+# The last rival corpus small enough to keep, as ((vocab, order,
+# graph_mode), (rivals, types)): a dict from staged mask to structure, in
+# enumeration order, and one type table whose per-rival memos and `wins`
+# memo serve every call with that key. Rank-r types refine the corpus
+# monotonically, so the types one call builds are the ones the next call of
+# that order reads.
+_last_corpus: tuple = (None, None)
+
+# A corpus is kept when 2^width / n!, a lower bound on its class count that
+# is known before the enumeration, is at most this. Graphs up to order 7
+# (1,044 classes) and order-4 digraphs (3,044) are kept; `P/1 E/2` at order
+# 4 (45,960 classes, about 55 MB of structures alone) is streamed instead.
+HELD_CORPUS_CLASSES = 1 << 12
+
+
+def _corpus(vocab, order: int, graph_mode: bool) -> tuple[dict | None, _TypeTable]:
+    """The kept rivals of (vocab, order, graph_mode) and their type table,
+    or None and a fresh table when the corpus is too large to keep."""
+    global _last_corpus
+    key = (vocab, order, graph_mode)
+    if _last_corpus[0] != key:
+        width = len(_bit_layout(vocab, order, graph_mode)[0])
+        if (1 << width) // math.factorial(order) > HELD_CORPUS_CLASSES:
+            return None, _TypeTable(vocab)
+        rivals = {_mask_of(rival, graph_mode): rival
+                  for rival in enumerate_structures(vocab, order, graph_mode)}
+        _last_corpus = (key, (rivals, _TypeTable(vocab)))
+    return _last_corpus[1]
+
+
 def identification_rank(struct: Structure, alternations: int | None = None,
                         max_rounds: int | None = None,
                         graph_mode: bool = False) -> int:
     """Worst game value against any non-isomorphic structure of the same
-    order: the semantic identification cost."""
+    order: the semantic identification cost. Game values do not change
+    under relabelling, so a kept corpus ranks the input's class
+    representative, whose types the corpus holds. Calls that share a corpus
+    must not run in two threads at once."""
     if alternations is not None and alternations < 0:
         raise InputError("alternation budget must be non-negative")
     cap = max_rounds if max_rounds is not None else struct.order + 1
     own = canonical_key(struct, graph_mode)
-    # struct's types and the memo of `wins` serve every rival
-    types = _TypeTable(struct.vocab)
+    held, types = _corpus(struct.vocab, struct.order, graph_mode)
+    if held is None:
+        # streamed through this call's table; each rival is forgotten after
+        # its game, so memory stays flat however large the corpus
+        rep, rivals = struct, ((_mask_of(rival, graph_mode), rival)
+                               for rival in enumerate_structures(
+                                   struct.vocab, struct.order, graph_mode))
+    else:
+        rep, rivals = held[own], held.items()
     worst = 0
-    for rival in enumerate_structures(struct.vocab, struct.order, graph_mode):
-        if _mask_of(rival, graph_mode) == own:
+    for mask, rival in rivals:
+        if mask == own:
             continue
-        value = types.rank(struct, (), rival, (), cap, alternations)
-        types.forget(rival)
+        value = types.rank(rep, (), rival, (), cap, alternations)
+        if held is None:
+            types.forget(rival)
         if value is None:
             raise CapExceeded(
                 f"round cap {cap} exhausted against a non-isomorphic rival")

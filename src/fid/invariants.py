@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equivalences import (base_decomposition, classes_of, counting_terms,
-                           fineness, is_base, sim_classes)
+from .equivalences import (_classes, base_decomposition, classes_of,
+                           counting_terms, fineness, is_base, sim_classes)
 from .errors import InputError, check
 from .structures import (GRAPH_VOCAB, Structure, induced, is_partial_isomorphism,
                          memoized)
@@ -54,7 +54,7 @@ def _delta_exact_cached(struct: Structure) -> DeltaWitness:
         cond = frozenset(i for i in range(n) if mask >> i & 1)
         if len(cond) == n:
             continue
-        count = len(classes_of(struct, cond))
+        count = len(_classes(struct, cond))
         key = tuple(sorted(cond))
         if count > best or (count == best and key < best_key):
             best, best_key, best_cond = count, key, cond

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from fid.equivalences import classes_of, transform_e
+from fid.errors import CapExceeded
+from fid.games import _TypeTable
 from fid.invariants import DEFAULT_DELTA_CAP
 from fid.logic import And, Eq, Exists, ForAll, Not, Or, Rel, evaluate, metrics
 from fid.structures import (Structure, Vocabulary, _mask_of, canonical_key,
@@ -260,6 +262,27 @@ def brute_winning_move(a: Structure, b: Structure, r: int, budget=None,
     return next(((side, elem) for side in (0, 1)
                  for elem in range((a.order, b.order)[side])
                  if move_wins(*start, side, elem, r)), None)
+
+
+def brute_identification_rank(struct: Structure, alternations=None,
+                              max_rounds=None, graph_mode: bool = False) -> int:
+    """`identification_rank` as one cold call: a fresh enumeration of the
+    rivals and a fresh type table that forgets each rival once it is ranked,
+    so nothing carries over from an earlier call."""
+    cap = max_rounds if max_rounds is not None else struct.order + 1
+    own = canonical_key(struct, graph_mode)
+    types = _TypeTable(struct.vocab)
+    worst = 0
+    for rival in enumerate_structures(struct.vocab, struct.order, graph_mode):
+        if _mask_of(rival, graph_mode) == own:
+            continue
+        value = types.rank(struct, (), rival, (), cap, alternations)
+        types.forget(rival)
+        if value is None:
+            raise CapExceeded(
+                f"round cap {cap} exhausted against a non-isomorphic rival")
+        worst = max(worst, value)
+    return worst
 
 
 # ---------------------------------------------------------------------------

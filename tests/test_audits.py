@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import fid
-from fid.errors import FidError, check
+import fid.synthesis
+from fid.cli import main
+from fid.errors import FidError, InternalError, check
 
 # Bare asserts vanish under `python -O`, so the self-audits must not rest on
 # them: no module may hold one.
@@ -33,14 +35,33 @@ def test_assert_ratchet():
 
 def test_check_raises_under_both_settings():
     check(True, "never raised")
-    with pytest.raises(FidError, match="audit failed"):
+    with pytest.raises(InternalError, match="audit failed"):
         check(False, "audit failed")
+    assert issubclass(InternalError, FidError)
     code = ("from fid.errors import FidError, check\n"
             "try:\n    check(False, 'audit failed')\n"
             "except FidError as exc:\n    print(exc)\n")
     for optimize in (False, True):
         run = _python("-c", code, optimize=optimize)
         assert (run.returncode, run.stdout) == (0, "audit failed\n")
+
+
+def test_failed_check_exits_4(tmp_path, monkeypatch, capsys):
+    # every synthesis audit fails with its own message; the first one ends
+    # `fid synth` with exit 4 and names it
+    messages = []
+
+    def failing(ok, message):
+        messages.append(message)
+        check(False, message)
+
+    monkeypatch.setattr(fid.synthesis, "check", failing)
+    path = tmp_path / "k3.fos"
+    path.write_text("vocab E/2\norder 3\ngraph\nE 0 1\nE 0 2\nE 1 2\n")
+    assert main(["synth", str(path), "--method", "sigma"]) == 4
+    captured = capsys.readouterr()
+    assert messages and captured.out == ""
+    assert captured.err == f"internal error: {messages[0]}\n"
 
 
 def _assert_same_under_optimize(*argv):

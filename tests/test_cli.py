@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from oracles import random_graph
+from oracles import brute_identification_rank, random_graph
 
 import fid.games
 from fid.cli import main
@@ -271,6 +271,30 @@ def test_rank_relabelled_input(tmp_path, capsys):
     assert main(["rank", str(path)]) == 0
     assert capsys.readouterr().out.strip() == \
         f"I = {identification_rank(rep, graph_mode=True)}"
+
+
+@pytest.mark.parametrize("alternations", [None, 1])
+def test_census(alternations, capsys):
+    """`fid census` ranks every structure of one order, in enumeration
+    order, with the values of one cold `identification_rank` call each."""
+    flags = [] if alternations is None else ["--alternations", str(alternations)]
+    argv = ["census", "--vocab", "E/2", "--order", "5", "--graphs", *flags]
+    want = [brute_identification_rank(struct, alternations, graph_mode=True)
+            for struct in enumerate_structures(GRAPH_VOCAB, 5, graph_mode=True)]
+    assert main(["--json", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {"values": want, "alternations": alternations}
+    assert main(argv) == 0
+    label = "I" if alternations is None else f"I^{alternations}"
+    assert capsys.readouterr().out.splitlines() == [
+        f"{label} = {value}: {want.count(value)} of 34" for value in sorted(set(want))]
+
+
+def test_census_round_cap_exits_3(capsys):
+    argv = ["census", "--vocab", "E/2", "--order", "3", "--graphs", "--max-rounds", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "resource cap exceeded: round cap 1 exhausted")
 
 
 def test_enumerate_order_cap_exits_3(capsys):

@@ -1,7 +1,9 @@
 import functools
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 from fractions import Fraction
@@ -9,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph
-from oracles import (brute_game_rank, brute_legal_responses,
-                     brute_winning_move, game_rank_via_formulas, random_graph,
-                     random_structure)
+from oracles import (brute_game_rank, brute_identification_rank,
+                     brute_legal_responses, brute_winning_move,
+                     game_rank_via_formulas, random_graph, random_structure)
 
 from fid.errors import FidError, InputError
 from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary,
                             enumerate_structures, relabel)
 from fid.invariants import game_budget, gen_mfmg
+from fid import games
 from fid.games import (GameSolver, OptimalDuplicator, PhasedSpoiler,
                        SolverSpoiler, automorphisms,
                        distinguishing_rank, distinguishing_rank_alt,
@@ -172,6 +175,108 @@ def test_identification_rank_unary():
     unary = Vocabulary((("P", 1),))
     struct = Structure(unary, 3, [{(0,), (1,)}])
     assert identification_rank(struct) == 2
+
+
+def test_identification_rank_matches_cold_tables():
+    """I, I^0 and I^1 from the shared corpus equal one cold call each, with
+    a fresh enumeration and type table, on every graph of order <= 5 and
+    every order-3 E/2 structure."""
+    pool = [(s, True) for order in range(1, 6) for s in graphs(order)]
+    pool += [(s, False) for s in enumerate_structures(GRAPH_VOCAB, 3)]
+    for struct, graph_mode in pool:
+        for alternations in (None, 0, 1):
+            assert identification_rank(struct, alternations, graph_mode=graph_mode) \
+                == brute_identification_rank(struct, alternations, graph_mode=graph_mode)
+
+
+def test_identification_rank_interleaved_corpora():
+    """Switching corpora between calls changes no value: order-4 graphs,
+    order-5 graphs, order-3 digraphs, then order-4 graphs again."""
+    pools = {key: list(enumerate_structures(GRAPH_VOCAB, *key))
+             for key in ((4, True), (5, True), (3, False))}
+    want = {}
+    for key in ((4, True), (5, True), (3, False), (4, True)):
+        for index, struct in enumerate(pools[key]):
+            for alternations in (None, 1):
+                got = identification_rank(struct, alternations, graph_mode=key[1])
+                assert want.setdefault((key, index, alternations), got) == got
+    for (key, index, alternations), value in want.items():
+        if key == (4, True):
+            assert value == brute_identification_rank(
+                pools[key][index], alternations, graph_mode=True)
+
+
+def test_corpus_cache_holds_one_key():
+    """A second (vocab, order, graph mode) replaces the first, whose rivals
+    and type table are then freed."""
+    identification_rank(graphs(4)[3], graph_mode=True)
+    key, (rivals, types) = games._last_corpus
+    assert key == (GRAPH_VOCAB, 4, True) and len(rivals) == 11
+    old = weakref.ref(types)
+    del rivals, types
+    identification_rank(graphs(3)[1], graph_mode=True)
+    key, (rivals, types) = games._last_corpus
+    assert key == (GRAPH_VOCAB, 3, True) and len(rivals) == 4
+    assert all(struct.order == 3 for struct in types._memos)
+    gc.collect()
+    assert old() is None
+
+
+def test_relabelled_inputs_leave_no_memos():
+    """Ranking 20 relabellings of one order-5 graph leaves the shared
+    table's memos, interned types and `wins` memo where one call left
+    them: each relabelled input is ranked as its class representative."""
+    struct = graphs(5)[27]
+    rng = random.Random(13)
+    for alternations in (None, 1):
+        want = identification_rank(struct, alternations, graph_mode=True)
+        types = games._last_corpus[1][1]
+        sizes = len(types._memos), len(types._ids), len(types._wins)
+        for _ in range(20):
+            other = relabel(struct, rng.sample(range(5), 5))
+            assert identification_rank(other, alternations, graph_mode=True) == want
+        assert (len(types._memos), len(types._ids), len(types._wins)) == sizes
+
+
+@pytest.mark.parametrize("order, graph_mode", [(5, True), (3, False)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_identification_rank_label_free(order, graph_mode, data):
+    """I and I^1 do not change under a relabelling of the input; the
+    relabelled call runs on the corpus the first one warmed, through the
+    class representative, so the table never holds a memo of its input
+    unless the input equals the representative."""
+    struct = data.draw(st.sampled_from(
+        list(enumerate_structures(GRAPH_VOCAB, order, graph_mode))))
+    perm = data.draw(st.permutations(range(order)))
+    other = relabel(struct, perm)
+    for alternations in (None, 1):
+        want = identification_rank(struct, alternations, graph_mode=graph_mode)
+        assert identification_rank(other, alternations, graph_mode=graph_mode) == want
+        assert (other in games._last_corpus[1][1]._memos) == (other == struct)
+
+
+def test_large_corpus_is_streamed(monkeypatch):
+    """A corpus over the size bound is enumerated and typed afresh on each
+    call, with every rival forgotten after its game, and the kept corpus
+    stays as it was; the values equal the cold per-call loop."""
+    identification_rank(graphs(4)[3], graph_mode=True)
+    kept = games._last_corpus
+    assert games._corpus(Vocabulary((("P", 1), ("E", 2))), 4, False)[0] is None
+    monkeypatch.setattr(games, "HELD_CORPUS_CLASSES", 0)
+    forgotten = []
+    monkeypatch.setattr(games._TypeTable, "forget",
+                        lambda self, struct: forgotten.append(struct))
+    for graph_mode, pool in ((True, graphs(5)),
+                             (False, list(enumerate_structures(GRAPH_VOCAB, 3)))):
+        for struct in pool:
+            for alternations in (None, 1):
+                forgotten.clear()
+                value = identification_rank(struct, alternations, graph_mode=graph_mode)
+                assert len(forgotten) == len(pool) - 1
+                assert value == brute_identification_rank(
+                    struct, alternations, graph_mode=graph_mode)
+    assert games._last_corpus is kept
 
 
 def test_mfmg_lower_bound():

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import itertools
 import pkgutil
 import random
@@ -13,6 +15,7 @@ from oracles import (brute_find_isomorphism, brute_iso_classes,
                      random_structure)
 
 import fid
+from fid import games, verification
 from fid.errors import CapExceeded, InputError
 from fid.structures import (GRAPH_VOCAB, Structure, Vocabulary, _mask_of,
                             canonical_form, canonical_key,
@@ -292,8 +295,10 @@ def test_loops_allowed_outside_graph_mode():
 
 def test_no_module_level_caches():
     # results keyed on a structure live in its memo and are freed with it;
-    # the bit layout is keyed on (vocab, order, graph mode)
-    cached = set()
+    # the bit layout is keyed on (vocab, order, graph mode). The only module
+    # state a function rebinds is two single-entry caches, (key, value)
+    # pairs: the last block of bit slices and the last rival corpus.
+    cached, rebound = set(), set()
     for info in pkgutil.iter_modules(fid.__path__):
         module = importlib.import_module(f"fid.{info.name}")
         for obj in vars(module).values():
@@ -301,4 +306,18 @@ def test_no_module_level_caches():
             for fn in (obj, *members):
                 if hasattr(fn, "cache_info"):
                     cached.add(f"{fn.__module__}.{fn.__qualname__}")
+        rebound.update(f"{module.__name__}.{name}"
+                       for node in ast.walk(ast.parse(inspect.getsource(module)))
+                       if isinstance(node, ast.Global) for name in node.names)
     assert cached == {"fid.structures._bit_layout"}
+    assert rebound == {"fid.verification._last_slices", "fid.games._last_corpus"}
+
+    for order in (3, 4):
+        rivals = tuple(enumerate_structures(GRAPH_VOCAB, order, True))
+        verification._slices(GRAPH_VOCAB, order, rivals)
+        games.identification_rank(rivals[0], graph_mode=True)
+    for entry in (verification._last_slices, games._last_corpus):
+        assert isinstance(entry, tuple) and len(entry) == 2
+    assert verification._last_slices[0] == (GRAPH_VOCAB, 4, rivals)
+    assert games._last_corpus[0] == (GRAPH_VOCAB, 4, True)
+    assert {rival.order for rival in games._last_corpus[1][0].values()} == {4}
